@@ -16,7 +16,6 @@
 #include <cstring>
 #include <string>
 
-#include "connections/channel_control.hpp"
 #include "soc/workloads.hpp"
 #include "trace/trace.hpp"
 
@@ -35,13 +34,12 @@ struct Outcome {
 Outcome RunUniverse(unsigned parallelism, double stall_prob, std::uint64_t seed,
                     Simulator* sim_out_owner) {
   Simulator& sim = *sim_out_owner;
+  sim.stats().Enable();         // per-channel transfer counts
   sim.trace_events().Enable();  // for blame chains on mismatch
   if (stall_prob > 0.0) {
-    // Each seed is one timing universe, drawn by craft-chaos (which
-    // generalized this benchmark's original ad-hoc stall injector): channel
-    // stalls as before, plus GALS pause storms and deferred wakeups — fault
-    // classes ApplyStallToAll never reached. Armed before elaboration so
-    // every site snapshots its fault point.
+    // Each seed is one timing universe, drawn by craft-chaos: channel
+    // stalls, GALS pause storms and deferred wakeups. Armed before
+    // elaboration so every site snapshots its fault point.
     FaultPlan plan;
     plan.seed = seed;
     plan.channel_valid_stall_prob = stall_prob;
@@ -62,7 +60,7 @@ Outcome RunUniverse(unsigned parallelism, double stall_prob, std::uint64_t seed,
   Outcome o;
   o.cycles = soc.RunCommands(w.commands(soc), 500_ms);
   o.ok = w.check(soc, &o.error);
-  o.transfers = connections::ChannelControl::TotalTransfers();
+  for (const auto& [name, ch] : sim.stats().channels()) o.transfers += ch.dequeues;
   return o;
 }
 

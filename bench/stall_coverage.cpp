@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <set>
 
-#include "connections/channel_control.hpp"
 #include "soc/workloads.hpp"
 
 namespace craft::soc {
@@ -25,6 +24,13 @@ struct Outcome {
 
 Outcome Run(double stall_prob, std::uint64_t seed) {
   Simulator sim;
+  sim.stats().Enable();  // per-channel transfer counts
+  if (stall_prob > 0.0) {
+    FaultPlan plan;
+    plan.seed = seed;
+    plan.channel_valid_stall_prob = stall_prob;
+    sim.chaos().Enable(plan);
+  }
   SocConfig cfg;
   cfg.mesh_width = 2;
   cfg.mesh_height = 2;
@@ -32,15 +38,11 @@ Outcome Run(double stall_prob, std::uint64_t seed) {
   SocTop soc(sim, cfg);
   const Workload w = SixSocTests()[0];  // vecmul exercises DMA + compute
   w.setup(soc);
-  if (stall_prob > 0.0) {
-    connections::ChannelControl::ApplyStallToAll(
-        {.valid_stall_prob = stall_prob, .ready_stall_prob = 0.0, .seed = seed});
-  }
   Outcome o;
   o.cycles = soc.RunCommands(w.commands(soc), 500_ms);
   std::string err;
   o.ok = w.check(soc, &err);
-  o.transfers = connections::ChannelControl::TotalTransfers();
+  for (const auto& [name, ch] : sim.stats().channels()) o.transfers += ch.dequeues;
   return o;
 }
 

@@ -43,9 +43,16 @@ std::uint64_t ChaosEngine::PointSeed(const std::string& name,
 ChaosChannelPoint* ChaosEngine::RegisterChannel(const std::string& name,
                                                 bool flippable) {
   if (!enabled_) return nullptr;
+  const bool signal_accurate = sim_->mode() == SimMode::kSignalAccurate;
   std::vector<CorruptionFault> faults;
   for (const CorruptionFault& f : plan_.corruptions) {
     if (f.channel != name) continue;
+    if (signal_accurate) {
+      warnings_.push_back(std::string(ToString(f.kind)) + " on '" + name +
+                          "' skipped: signal-accurate channels have no commit-edge "
+                          "corruption point");
+      continue;
+    }
     if (f.kind == CorruptionFault::Kind::kBitFlip && !flippable) {
       warnings_.push_back("bitflip on '" + name +
                           "' skipped: payload type has no ChaosFlip support");

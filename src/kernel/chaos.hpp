@@ -31,9 +31,11 @@
 // seed AND invariant under craft-par's SetParallelism(n) — the same property
 // the stats counters rely on (DESIGN.md §9).
 //
-// Injection applies to the sim-accurate Connections model (the mode every
-// campaign and workload runs in); signal-accurate channels keep the legacy
-// StallConfig machinery.
+// Channel stalls apply to both Connections models: the sim-accurate ports
+// consult the point per operation, the signal-accurate channel masks its
+// valid/ready signals with it. Corruption hooks the sim-accurate commit edge
+// only; a plan's corruption entries on a signal-accurate channel are
+// reported through config_warnings().
 #pragma once
 
 #include <cstdint>
@@ -125,9 +127,9 @@ struct ChaosDetection {
 
 class ChaosEngine;
 
-/// Per-channel fault point: lazy per-cycle valid/ready stall rolls (same
-/// dispatch-order-independent pattern as StallConfig) plus the corruption
-/// appointment book consulted at every commit edge.
+/// Per-channel fault point: lazy per-cycle valid/ready stall rolls (one
+/// roll per cycle, so results do not depend on process dispatch order) plus
+/// the corruption appointment book consulted at every commit edge.
 class ChaosChannelPoint {
  public:
   enum class Commit { kNone, kBitFlip, kDrop, kDuplicate };
@@ -289,8 +291,9 @@ class ChaosEngine {
   };
   LatencyTotals latency_totals() const;
 
-  /// Plan entries that could not be applied (e.g. a bit-flip scheduled on a
-  /// channel whose payload type has no ChaosFlip specialization).
+  /// Plan entries that could not be applied (a bit-flip scheduled on a
+  /// channel whose payload type has no ChaosFlip specialization, or any
+  /// corruption scheduled on a signal-accurate channel).
   const std::vector<std::string>& config_warnings() const { return warnings_; }
 
   /// Read-only views of the registered fault points, keyed by site name

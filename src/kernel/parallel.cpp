@@ -231,7 +231,7 @@ void Engine::Partition(unsigned requested) {
   for (auto& w : workers_) w->shard.now = sim_.main_shard_.now;
 
   if (sim_.trace_events().enabled()) {
-    sim_.trace_events().SetSharded(num_groups_, n_workers);
+    sim_.trace_events().Partition(num_groups_, n_workers);
   }
 
   Redistribute();
@@ -348,8 +348,8 @@ void Engine::RunUntil(Time t) {
                    : m + lookahead_ - 1;
     // ... clamped to the next pulse boundary B (>= m after the sample
     // above): windows never straddle a boundary, so at the barrier after
-    // this window exactly the events at <= B have fired — the same sample
-    // semantics as the single-threaded scheduler, for any worker count.
+    // this window exactly the events at <= B have fired, for any worker
+    // count.
     horizon_ = std::min(horizon_, sim_.pulse().next_boundary());
     const std::uint64_t w0 = measure_windows_ ? NowNs() : 0;
     if (!threaded) {
@@ -382,9 +382,9 @@ void Engine::RunUntil(Time t) {
     for (auto& w : workers_) {
       if (w->shard.now < t) w->shard.now = t;
     }
-    // Boundaries in (last event, t] complete when the run reaches t —
-    // mirror of the single-threaded end-of-run sample (Stop() carve-out
-    // documented in DESIGN.md §12).
+    // Boundaries in (last event, t] complete when the run reaches t. A
+    // Stop() skips this (DESIGN.md §12: the final partial window depends on
+    // the worker count, so fingerprints use fixed horizons without Stop).
     sim_.pulse().SampleBefore(t + 1);
   }
   Time max_now = sim_.main_shard_.now;

@@ -1,5 +1,6 @@
 #include "kernel/simulator.hpp"
 
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <sstream>
@@ -12,25 +13,36 @@ namespace craft {
 
 namespace {
 Simulator* g_current = nullptr;
+
+/// CRAFT_PARALLELISM=<n> sets the worker count without code changes (used
+/// by the TSan CI job to force n=4 under the existing test suites); an
+/// explicit SetParallelism() call overrides it. The value comes from outside
+/// the program, so anything but a plain 1..64 is an error rather than a
+/// silent fallback.
+unsigned ParallelismFromEnv() {
+  const char* env = std::getenv("CRAFT_PARALLELISM");
+  if (env == nullptr) return 1;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long n = std::strtoul(env, &end, 10);
+  if (*env < '0' || *env > '9' || *end != '\0' || errno != 0 || n < 1 || n > 64)
+    CRAFT_ERROR("CRAFT_PARALLELISM wants 1..64, got '" << env << "'");
+  return static_cast<unsigned>(n);
+}
 }  // namespace
 
 thread_local constinit SchedShard* tl_sched_shard = nullptr;
 thread_local constinit unsigned tl_sched_group = 0;
 
-Simulator::Simulator() : design_graph_(std::make_shared<DesignGraph>()) {
+Simulator::Simulator()
+    : parallelism_(ParallelismFromEnv()),
+      design_graph_(std::make_shared<DesignGraph>()) {
   CRAFT_ASSERT(g_current == nullptr, "only one Simulator may exist at a time");
   g_current = this;
   trace_events_.sim_ = this;
   chaos_.sim_ = this;
   pulse_.sim_ = this;
   cover_.sim_ = this;
-  // CRAFT_PARALLELISM=<n> selects the domain-sharded engine without code
-  // changes (used by the TSan CI job to force n=4 under the existing test
-  // suites). An explicit SetParallelism() call overrides it.
-  if (const char* env = std::getenv("CRAFT_PARALLELISM")) {
-    const unsigned long n = std::strtoul(env, nullptr, 10);
-    if (n >= 1) parallelism_ = static_cast<unsigned>(n);
-  }
 }
 
 Simulator::~Simulator() {
@@ -49,7 +61,9 @@ Simulator& Simulator::Current() {
 Simulator* Simulator::CurrentOrNull() { return g_current; }
 
 void Simulator::SetParallelism(unsigned n) {
-  CRAFT_ASSERT(!started_, "SetParallelism must be called before the first Run()");
+  CRAFT_ASSERT(engine_ == nullptr,
+               "SetParallelism must be called before the first Run()");
+  CRAFT_ASSERT(n >= 1, "SetParallelism wants n >= 1, got 0");
   parallelism_ = n;
 }
 
@@ -74,7 +88,7 @@ void Simulator::MakeRunnable(ProcessBase& p) {
   // Thread-affinity check (craft-par): a worker may only wake processes on
   // its own shard. Waking another domain group's process mid-window would
   // be a cross-domain interaction outside any registered crossing — a data
-  // race that single-threaded simulation silently tolerates.
+  // race that a single worker would silently tolerate.
   CRAFT_ASSERT(tl_sched_shard == nullptr || tl_sched_shard == &s,
                "cross-domain wake of process '"
                    << p.name()
@@ -161,70 +175,31 @@ void Simulator::FireTimestep(SchedShard& s) {
   }
 }
 
-void Simulator::StartIfNeeded() {
-  if (started_) return;
-  started_ = true;
-  // Initial evaluation: every process runs once at time zero (threads run
-  // until their first wait; methods compute initial combinational outputs).
-  SettleDeltas(main_shard_);
-}
-
-void Simulator::StartEngine() {
-  started_ = true;
-  engine_ = std::make_unique<par::Engine>(*this, parallelism_);
-}
-
 void Simulator::RunUntil(Time t) {
   // A stop request only ends the Run() it was issued under; clear it so a
   // stop-then-resume sequence works (the request must not be sticky).
   stop_requested_.store(false, std::memory_order_relaxed);
   main_shard_.local_stop = false;
-  if (parallelism_ > 0) {
-    if (engine_ == nullptr) StartEngine();
-    engine_->RunUntil(t);
-    return;
-  }
-  StartIfNeeded();
-  // Settle deltas left pending by a Stop() that landed mid-settle; a no-op
-  // on the common path (nothing runnable between Run calls).
-  SettleDeltas(main_shard_);
-  while (!stopped() && !main_shard_.timed.empty() &&
-         main_shard_.timed.top().t <= t) {
-    // craft-pulse boundary semantics: a boundary B is sampled once every
-    // event at <= B has fired and before anything later does — i.e. right
-    // before firing the first timestep past B. One never-taken compare
-    // while the sampler is disabled.
-    pulse_.SampleBefore(main_shard_.timed.top().t);
-    FireTimestep(main_shard_);
-    SettleDeltas(main_shard_);
-  }
-  if (!stopped()) {
-    if (main_shard_.now < t) main_shard_.now = t;
-    // Boundaries in (last event, t] complete when the run reaches t. A
-    // Stop() skips this (DESIGN.md §12: the final partial window is
-    // engine-dependent, so fingerprints use fixed horizons without Stop).
-    pulse_.SampleBefore(t + 1);
-  }
+  // The first Run partitions the elaborated design. Every adopted process
+  // is still queued on the main shard, so the engine's first window is the
+  // initial evaluation (threads run to their first wait; methods compute
+  // their initial combinational outputs).
+  if (engine_ == nullptr) engine_ = std::make_unique<par::Engine>(*this, parallelism_);
+  engine_->RunUntil(t);
 }
 
 void Simulator::Run(Time duration) { RunUntil(now() + duration); }
 
 std::uint64_t Simulator::delta_count() const {
-  std::uint64_t n = main_shard_.delta_count;
-  if (engine_ != nullptr) n += engine_->TotalDeltaCount();
-  return n;
+  return engine_ != nullptr ? engine_->TotalDeltaCount() : 0;
 }
 
 std::uint64_t Simulator::dispatch_count() const {
-  std::uint64_t n = main_shard_.dispatch_count;
-  if (engine_ != nullptr) n += engine_->TotalDispatchCount();
-  return n;
+  return engine_ != nullptr ? engine_->TotalDispatchCount() : 0;
 }
 
 std::uint64_t Simulator::timed_fired() const {
-  std::uint64_t n = main_shard_.timed_fired;
-  if (engine_ != nullptr) n += engine_->TotalTimedFired();
-  return n;
+  return engine_ != nullptr ? engine_->TotalTimedFired() : 0;
 }
 
 std::pair<unsigned, unsigned> Simulator::parallel_shape() const {

@@ -5,9 +5,8 @@
 //
 // craft-par (DESIGN.md §9): the scheduler state lives in SchedShard so the
 // parallel engine can run one shard per worker thread, partitioned by GALS
-// clock-domain group. The default (SetParallelism never called, no
-// CRAFT_PARALLELISM in the environment) keeps the original single-queue
-// code path byte-for-byte.
+// clock-domain group. Every Run goes through the engine; the default n = 1
+// runs its single worker inline on the calling thread.
 #pragma once
 
 #include <atomic>
@@ -22,7 +21,6 @@
 #include "kernel/cover.hpp"
 #include "kernel/pulse.hpp"
 #include "kernel/report.hpp"
-#include "kernel/rng.hpp"
 #include "kernel/stats.hpp"
 #include "kernel/time.hpp"
 #include "kernel/trace_events.hpp"
@@ -66,9 +64,10 @@ struct TimedEntry {
   }
 };
 
-/// The per-worker slice of scheduler state. The plain (non-parallel)
-/// scheduler uses exactly one of these; the parallel engine owns one per
-/// worker thread plus the group->shard routing table in the Simulator.
+/// The per-worker slice of scheduler state. The parallel engine owns one per
+/// worker plus the group->shard routing table in the Simulator; the
+/// Simulator's main shard only queues work issued outside engine windows
+/// (elaboration, between runs) until the engine redistributes it.
 struct SchedShard {
   Time now = 0;
   std::uint64_t seq = 0;
@@ -76,7 +75,7 @@ struct SchedShard {
   std::uint64_t dispatch_count = 0;
   std::uint64_t timed_fired = 0;
   /// Set by Stop() issued from a process running on this shard; breaks the
-  /// delta-settle loop exactly like the single-threaded scheduler.
+  /// delta-settle loop at the end of the current delta.
   bool local_stop = false;
 
   std::priority_queue<TimedEntry, std::vector<TimedEntry>, std::greater<TimedEntry>>
@@ -86,7 +85,7 @@ struct SchedShard {
 };
 
 /// Shard the calling thread is currently executing simulation work for.
-/// Null on the main thread outside the parallel engine's windows — accessors
+/// Null outside the engine's windows (elaboration, between runs) — accessors
 /// then fall back to the Simulator's main shard.
 ///
 /// `constinit` is load-bearing: it guarantees constant initialization, so the
@@ -166,10 +165,10 @@ class Simulator {
     return s != nullptr ? s->now : main_shard_.now;
   }
 
-  /// Delta cycles settled so far, summed over shards when parallel. Note
-  /// the sum depends on how domains were batched: the same design settles
-  /// per-group under craft-par but in merged batches single-threaded, so
-  /// this is kernel-load telemetry, not a determinism-checked quantity.
+  /// Delta cycles settled so far, summed over shards. Note the sum depends
+  /// on how domains were batched: groups sharing a worker settle in merged
+  /// batches, so this is kernel-load telemetry, not a determinism-checked
+  /// quantity.
   std::uint64_t delta_count() const;
 
   /// Number of timed-event callbacks fired so far (clock edges, delayed
@@ -179,36 +178,24 @@ class Simulator {
   SimMode mode() const { return mode_; }
   void set_mode(SimMode m) { mode_ = m; }
 
-  /// Simulator-global RNG used for stall injection and jitter; reseed for
-  /// reproducible experiments. Main-thread / elaboration use only under
-  /// craft-par (per-channel and per-clock RNGs are already worker-local).
-  Rng& rng() { return rng_; }
-  void ReseedRng(std::uint64_t seed) { rng_ = Rng(seed); }
-
   // ---- craft-par: domain-sharded parallel execution ----
 
-  /// Selects the execution engine for this simulator. n == 1 runs the
+  /// Sets the engine's worker count. n == 1 (the default, unless
+  /// CRAFT_PARALLELISM=<1..64> is set in the environment) runs the
   /// domain-sharded engine inline on the calling thread; n >= 2 runs up to
   /// n worker threads, one per GALS clock-domain group (workers are capped
   /// at the number of independent groups). Must be called before the first
-  /// Run(). Never calling it keeps the original single-queue scheduler.
+  /// Run(); n == 0 raises a SimError.
   ///
   /// Determinism: for a fixed design and seeds, results, stats counters and
   /// trace span sets are identical for every n >= 1 — conservative epoch
   /// windows bound each worker to the lookahead implied by its
   /// PausibleBisyncFifo crossings, so no cross-domain interaction can land
   /// inside a window (DESIGN.md §9).
-  /// n = 0 explicitly selects the original single-threaded scheduler,
-  /// overriding any CRAFT_PARALLELISM environment value (useful for tests
-  /// and for bisecting engine-vs-legacy differences).
   void SetParallelism(unsigned n);
 
-  /// Effective parallelism: the SetParallelism / CRAFT_PARALLELISM value,
-  /// or 1 when the original scheduler is active.
-  unsigned parallelism() const { return parallelism_ == 0 ? 1 : parallelism_; }
-
-  /// True once the domain-sharded engine (any n >= 1) is selected.
-  bool parallel_engine_selected() const { return parallelism_ > 0; }
+  /// Requested parallelism: the SetParallelism / CRAFT_PARALLELISM value.
+  unsigned parallelism() const { return parallelism_; }
 
   /// Declared by every PausibleBisyncFifo: a legal clock-domain crossing
   /// from `producer_clk` to `consumer_clk` whose synchronizer grace window
@@ -227,7 +214,7 @@ class Simulator {
   const std::vector<CrossingDecl>& crossings() const { return crossings_; }
 
   /// Shard that owns clock-domain group `g`, or nullptr while the design is
-  /// not partitioned (original scheduler, or before the first parallel Run).
+  /// not partitioned (before the first Run).
   SchedShard* ShardForGroupOrNull(unsigned g) const {
     return group_shards_.empty() ? nullptr : group_shards_[g];
   }
@@ -290,8 +277,8 @@ class Simulator {
     return processes_;
   }
 
-  /// Parallel-engine shape for reporters: {workers, groups}. {1, 1} under
-  /// the original scheduler.
+  /// Parallel-engine shape for reporters: {workers, groups}. {1, 1} before
+  /// the first Run.
   std::pair<unsigned, unsigned> parallel_shape() const;
 
  private:
@@ -308,16 +295,12 @@ class Simulator {
 
   void SettleDeltas(SchedShard& s);
   void FireTimestep(SchedShard& s);
-  void StartIfNeeded();
-  void StartEngine();
   [[noreturn]] void ReportDeltaOverflow(const SchedShard& s);
 
   std::uint64_t delta_limit_ = 1'000'000;
   std::atomic<bool> stop_requested_{false};
-  bool started_ = false;
-  unsigned parallelism_ = 0;  // 0 = original single-queue scheduler
+  unsigned parallelism_ = 1;
   SimMode mode_ = SimMode::kSimAccurate;
-  Rng rng_;
   std::shared_ptr<DesignGraph> design_graph_;
   StatsRegistry stats_;
   TraceEventSink trace_events_;

@@ -35,10 +35,6 @@ TraceTrack* TraceEventSink::RegisterTrack(const std::string& name,
 
 std::uint64_t TraceEventSink::NewSpan(std::uint64_t parent,
                                       std::uint32_t flit_index) {
-  if (!sharded_) {
-    spans_.push_back(TraceSpanInfo{parent, flit_index});
-    return spans_.size();  // ids are 1-based
-  }
   const unsigned g = tl_sched_group;
   auto& arena = group_spans_[g];
   arena.push_back(TraceSpanInfo{parent, flit_index});
@@ -47,17 +43,13 @@ std::uint64_t TraceEventSink::NewSpan(std::uint64_t parent,
 
 const TraceSpanInfo* TraceEventSink::SpanInfoOf(std::uint64_t span) const {
   span &= ~kSpanDroppedBit;
-  if (span == 0) return nullptr;
   const std::uint64_t g = span >> kSpanGroupShift;
-  if (g != 0) {
-    const std::uint64_t idx = span & kSpanIndexMask;
-    if (g - 1 < group_spans_.size() && idx >= 1 &&
-        idx <= group_spans_[g - 1].size()) {
-      return &group_spans_[g - 1][idx - 1];
-    }
+  const std::uint64_t idx = span & kSpanIndexMask;
+  if (g == 0 || g - 1 >= group_spans_.size() || idx == 0 ||
+      idx > group_spans_[g - 1].size()) {
     return nullptr;
   }
-  return span <= spans_.size() ? &spans_[span - 1] : nullptr;
+  return &group_spans_[g - 1][idx - 1];
 }
 
 std::uint64_t TraceEventSink::ParentOf(std::uint64_t span) const {
@@ -66,16 +58,15 @@ std::uint64_t TraceEventSink::ParentOf(std::uint64_t span) const {
 }
 
 std::uint64_t TraceEventSink::spans_allocated() const {
-  std::uint64_t n = spans_.size();
+  std::uint64_t n = 0;
   for (const auto& arena : group_spans_) n += arena.size();
   return n;
 }
 
-void TraceEventSink::SetSharded(unsigned num_groups, unsigned num_workers) {
-  sharded_ = true;
+void TraceEventSink::Partition(unsigned num_groups, unsigned num_workers) {
   group_spans_.resize(num_groups);
-  group_event_counts_.assign(num_groups, 0);
-  group_dropped_.assign(num_groups, 0);
+  group_event_counts_.resize(num_groups, 0);
+  group_dropped_.resize(num_groups, 0);
   worker_events_.resize(num_workers);
   group_cap_ = std::max<std::size_t>(1, max_events_ / std::max(1u, num_groups));
 }
@@ -83,21 +74,20 @@ void TraceEventSink::SetSharded(unsigned num_groups, unsigned num_workers) {
 void TraceEventSink::set_worker_slot(int w) { tl_trace_worker = w; }
 
 void TraceEventSink::MergeShards() {
-  std::vector<TraceEvent> batch;
   for (auto& buf : worker_events_) {
-    batch.insert(batch.end(), buf.begin(), buf.end());
-    buf.clear();
+    events_.insert(events_.end(), buf.begin(), buf.end());
+    std::vector<TraceEvent>().swap(buf);
   }
-  if (batch.empty()) return;
-  // Sort on the full event value: the event *set* per window is the same
-  // for any worker count, so a total order over values makes the merged
-  // sequence identical too (worker interleaving is wall-clock-dependent).
-  std::sort(batch.begin(), batch.end(),
-            [](const TraceEvent& a, const TraceEvent& b) {
-              return std::tie(a.ts, a.track, a.span, a.kind, a.arg) <
-                     std::tie(b.ts, b.track, b.span, b.kind, b.arg);
-            });
-  events_.insert(events_.end(), batch.begin(), batch.end());
+  // Sort the Run's tail on the full event value: the event *set* per Run
+  // is the same for any worker count, so a total order over values makes
+  // the merged sequence identical too (worker interleaving is
+  // wall-clock-dependent).
+  const auto tail = events_.begin() + static_cast<std::ptrdiff_t>(sorted_end_);
+  std::sort(tail, events_.end(), [](const TraceEvent& a, const TraceEvent& b) {
+    return std::tie(a.ts, a.track, a.span, a.kind, a.arg) <
+           std::tie(b.ts, b.track, b.span, b.kind, b.arg);
+  });
+  sorted_end_ = events_.size();
 }
 
 void TraceEventSink::SetContext(std::uint64_t span) {
@@ -124,17 +114,8 @@ bool TraceEventSink::Record(TraceEventKind kind, std::uint32_t track,
                             std::uint64_t span, std::uint64_t arg) {
   // Only begins are capped: an end for a begin that made it in must also
   // make it in, or the exported b/e pairs would be unbalanced. Instants are
-  // episode-start markers, bounded by the begins they interleave with.
-  if (!sharded_) {
-    if (kind == TraceEventKind::kBegin && events_.size() >= max_events_) {
-      ++dropped_;
-      return false;
-    }
-    events_.push_back(TraceEvent{kind, track, span, now(), arg});
-    return true;
-  }
-  // Sharded: the budget is per clock-domain group (worker-count-invariant),
-  // the destination buffer per worker thread (merged later).
+  // episode-start markers, bounded by the begins they interleave with. The
+  // budget is per clock-domain group (worker-count-invariant).
   const unsigned g = tl_sched_group;
   if (kind == TraceEventKind::kBegin && group_event_counts_[g] >= group_cap_) {
     ++group_dropped_[g];
@@ -142,17 +123,21 @@ bool TraceEventSink::Record(TraceEventKind kind, std::uint32_t track,
   }
   ++group_event_counts_[g];
   const TraceEvent ev{kind, track, span, now(), arg};
+  // Worker threads record into their own buffer. A lone worker runs on the
+  // calling thread and appends straight to events_, which spares copying
+  // every event once more at the merge.
   const int w = tl_trace_worker;
-  if (w < 0) {
-    events_.push_back(ev);
-  } else {
+  if (w >= 0 && worker_events_.size() > 1) {
     worker_events_[static_cast<std::size_t>(w)].push_back(ev);
+  } else {
+    events_.push_back(ev);
+    if (w < 0) sorted_end_ = events_.size();  // outside any Run: final order
   }
   return true;
 }
 
 std::uint64_t TraceEventSink::dropped_events() const {
-  std::uint64_t n = dropped_;
+  std::uint64_t n = 0;
   for (std::uint64_t d : group_dropped_) n += d;
   return n;
 }

@@ -188,7 +188,10 @@ class TraceEventSink {
 
   /// Turns tracing on. Must be called before elaborating the design:
   /// components snapshot their track pointer at construction time.
-  void Enable() { enabled_ = true; }
+  void Enable() {
+    enabled_ = true;
+    Partition(1, 1);
+  }
 
   /// Registers a timeline under its hierarchical design name. `kind` is a
   /// channel kind ("Buffer", ...), "vc_fifo", "crossing", or "activity";
@@ -198,11 +201,10 @@ class TraceEventSink {
 
   // ---- span management ----
 
-  /// Allocates a span id (1-based; 0 means "no span"). In sharded mode the
-  /// id is (group+1) << 40 | per-group index: a function of the allocating
-  /// clock-domain group's own history, so ids are identical for any worker
-  /// count (and never collide with pre-sharding flat ids, which stay below
-  /// 2^40).
+  /// Allocates a span id (0 means "no span"). The id is
+  /// (group+1) << 40 | per-group 1-based index: a function of the
+  /// allocating clock-domain group's own history, so ids are identical for
+  /// any worker count.
   std::uint64_t NewSpan(std::uint64_t parent = 0,
                         std::uint32_t flit_index = kNoFlitIndex);
   std::uint64_t ParentOf(std::uint64_t span) const;
@@ -211,21 +213,22 @@ class TraceEventSink {
 
   // ---- craft-par sharding ----
 
-  /// Switches span allocation to per-domain-group arenas and event
-  /// recording to per-worker buffers (merged by MergeShards). Called once
-  /// by the parallel engine at partition time. The per-group begin-event
+  /// Sizes the per-domain-group span arenas and the per-worker event
+  /// buffers (merged by MergeShards; a lone worker needs none and appends
+  /// straight to events()). Enable() starts with one group; the engine
+  /// calls this again at partition time. The per-group begin-event
   /// budget is max_events / num_groups, so capping behaviour is also
   /// independent of the worker count.
-  void SetSharded(unsigned num_groups, unsigned num_workers);
-  bool sharded() const { return sharded_; }
+  void Partition(unsigned num_groups, unsigned num_workers);
 
   /// Installs the calling thread's worker event buffer (-1 = the main
   /// thread, which appends straight to the merged vector). Set by the
   /// engine on each worker thread.
   static void set_worker_slot(int w);
 
-  /// Drains the worker buffers into events() in a deterministic order
-  /// (sorted by timestamp/track/span/kind). Called by the engine at the end
+  /// Appends the worker buffers to events() and releases them, then sorts
+  /// everything recorded since the previous merge into a deterministic
+  /// order (by timestamp/track/span/kind). Called by the engine at the end
   /// of each Run, with all workers parked.
   void MergeShards();
 
@@ -286,13 +289,11 @@ class TraceEventSink {
   bool enabled_ = false;
   std::vector<std::unique_ptr<TraceTrack>> tracks_;
   std::vector<TraceEvent> events_;
-  std::vector<TraceSpanInfo> spans_;
+  std::size_t sorted_end_ = 0;  // events_[0, sorted_end_) are in final order
   std::size_t max_events_ = 4'000'000;
-  std::uint64_t dropped_ = 0;
 
-  // Sharded mode (craft-par): per-group span arenas and drop accounting,
-  // per-worker event buffers. Untouched while sharded_ is false.
-  bool sharded_ = false;
+  // craft-par: per-group span arenas and drop accounting, per-worker event
+  // buffers.
   std::size_t group_cap_ = 0;
   std::vector<std::vector<TraceSpanInfo>> group_spans_;
   std::vector<std::size_t> group_event_counts_;

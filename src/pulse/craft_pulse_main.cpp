@@ -128,7 +128,7 @@ constexpr const char kUsage[] =
     "  --period PS         sampling period in picoseconds (default 1000000)\n"
     "  --windows N         run for N whole windows (default 50)\n"
     "  --capacity N        series ring capacity (default 512)\n"
-    "  --parallelism N     run under craft-par with N workers (0 = legacy)\n"
+    "  --parallelism N     run under craft-par with N workers (1..64)\n"
     "  --progress-windows N arm the progress watchdog (default: off)\n"
     "  --chaos             inject a seeded latency stall storm; the run\n"
     "                      then MUST trip the throughput watchdog\n"
@@ -266,6 +266,9 @@ int main(int argc, char** argv) {
   p.Flag("--quiet", &opt.quiet);
   if (auto st = p.Parse(argc, argv); st != cli::Status::kContinue)
     return cli::ExitCode(st);
+  if (opt.parallelism_set && (opt.parallelism < 1 || opt.parallelism > 64))
+    return cli::ExitCode(p.UsageError("--parallelism wants 1..64, got '" +
+                                      std::to_string(opt.parallelism) + "'"));
   opt.capacity = static_cast<std::size_t>(capacity);
 
   if (opt.period_ps == 0 || opt.windows == 0 || opt.capacity == 0) {

@@ -35,8 +35,8 @@ struct SocConfig {
   unsigned rtl_signals_per_node = 10240;  ///< modeled netlist nets per partition
   unsigned rtl_pe_drain_cycles = 5;   ///< HLS pipeline drain per kernel
   bool with_io = false;               ///< instantiate the I/O partition (node 2)
-  /// craft-par worker threads (0 = leave the simulator's engine selection
-  /// untouched; >= 1 selects the domain-sharded engine). In GALS mode each
+  /// craft-par worker threads (0 = leave the simulator's setting untouched:
+  /// CRAFT_PARALLELISM or 1; >= 1 calls SetParallelism). In GALS mode each
   /// node is its own clock-domain group, so the mesh partitions naturally.
   unsigned parallelism = 0;
 };

@@ -1,5 +1,5 @@
 // Tests for the Connections LI-channel library: Table 1 API behaviour, both
-// simulation models, stall injection, and packetization.
+// simulation models, craft-chaos stall injection, and packetization.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -45,6 +45,16 @@ class Consumer : public Module {
   std::uint64_t done_cycle = 0;
 };
 
+/// Arms a craft-chaos channel stall plan; call before elaborating.
+void EnableStalls(Simulator& sim, std::uint64_t seed, double valid_prob,
+                  double ready_prob = 0.0) {
+  FaultPlan plan;
+  plan.seed = seed;
+  plan.channel_valid_stall_prob = valid_prob;
+  plan.channel_ready_stall_prob = ready_prob;
+  sim.chaos().Enable(plan);
+}
+
 std::unique_ptr<Channel<int>> MakeChannel(Module& parent, Clock& clk, ChannelKind kind,
                                           unsigned capacity = 4) {
   return std::make_unique<Channel<int>>(parent, "ch", clk, kind, capacity);
@@ -79,14 +89,15 @@ TEST_P(ChannelPropertyTest, DeliversAllInOrder) {
   for (int i = 0; i < 50; ++i) EXPECT_EQ(cons.received[i], i);
 }
 
-// Property: random valid-side stalls perturb timing but never correctness.
+// Property: random valid- and ready-side stalls perturb timing but never
+// correctness.
 TEST_P(ChannelPropertyTest, StallInjectionPreservesCorrectness) {
   Simulator sim;
   sim.set_mode(GetParam().mode);
+  EnableStalls(sim, 42, 0.3, 0.2);
   Clock clk(sim, "clk", 1_ns);
   Module top(sim, "top");
   auto ch = MakeChannel(top, clk, GetParam().kind);
-  ch->SetStall({.valid_stall_prob = 0.3, .ready_stall_prob = 0.0, .seed = 42});
   Producer prod(top, "prod", clk, 40);
   Consumer cons(top, "cons", clk, 40);
   prod.out(*ch);
@@ -101,10 +112,10 @@ TEST_P(ChannelPropertyTest, StallInjectionDelaysCompletion) {
   auto run = [&](double p) {
     Simulator sim;
     sim.set_mode(GetParam().mode);
+    EnableStalls(sim, 7, p);
     Clock clk(sim, "clk", 1_ns);
     Module top(sim, "top");
     auto ch = MakeChannel(top, clk, GetParam().kind);
-    ch->SetStall({.valid_stall_prob = p, .ready_stall_prob = 0.0, .seed = 7});
     Producer prod(top, "prod", clk, 60);
     Consumer cons(top, "cons", clk, 60);
     prod.out(*ch);
@@ -348,6 +359,7 @@ TEST(ModelComparison, MultiPortLoopCyclesMatchHlsOnlyInSimAccurateModel) {
 
 TEST(ChannelStats, TransferAndBackpressureCounters) {
   Simulator sim;
+  sim.stats().Enable();
   Clock clk(sim, "clk", 1_ns);
   Module top(sim, "top");
   Buffer<int> ch(top, "ch", clk, 1);
@@ -357,53 +369,22 @@ TEST(ChannelStats, TransferAndBackpressureCounters) {
   cons.in(ch);
   sim.Run(1000_ns);
   EXPECT_EQ(ch.transfer_count(), 10u);
-  EXPECT_EQ(ChannelControl::TotalTransfers(), 10u);
+  const ChannelStats& st = sim.stats().channels().at("top.ch");
+  EXPECT_EQ(st.enqueues, 10u);
+  EXPECT_EQ(st.dequeues, 10u);
+  // A one-entry buffer drained once per cycle backs the producer up.
+  EXPECT_GT(st.full_stall_cycles, 0u);
 }
 
-TEST(ChannelStats, TransactionLogRecordsBoundedTimestamps) {
-  Simulator sim;
-  Clock clk(sim, "clk", 1_ns);
-  Module top(sim, "top");
-  Buffer<int> ch(top, "ch", clk, 4);
-  ch.SetTransactionLogDepth(8);
-  Producer prod(top, "prod", clk, 20);
-  Consumer cons(top, "cons", clk, 20);
-  prod.out(ch);
-  cons.in(ch);
-  sim.Run(1000_ns);
-  ASSERT_EQ(cons.received.size(), 20u);
-  const auto& log = ch.transaction_log();
-  ASSERT_EQ(log.size(), 8u);  // bounded to depth, keeps the newest
-  for (std::size_t i = 1; i < log.size(); ++i) EXPECT_GE(log[i], log[i - 1]);
-  EXPECT_GT(log.back(), 0u);
-}
+// ---------- craft-chaos stall injection ----------
 
-TEST(ChannelStats, EnableLoggingAllCoversEveryChannel) {
+TEST(ChannelChaos, PlanReachesEveryChannel) {
   Simulator sim;
-  Clock clk(sim, "clk", 1_ns);
-  Module top(sim, "top");
-  Buffer<int> a(top, "a", clk, 2), b(top, "b", clk, 2);
-  ChannelControl::EnableLoggingAll(4);
-  Producer prod(top, "prod", clk, 6);
-  Consumer cons(top, "cons", clk, 6);
-  prod.out(a);
-  cons.in(a);
-  Producer prod2(top, "prod2", clk, 6);
-  Consumer cons2(top, "cons2", clk, 6);
-  prod2.out(b);
-  cons2.in(b);
-  sim.Run(1000_ns);
-  EXPECT_EQ(a.transaction_log().size(), 4u);
-  EXPECT_EQ(b.transaction_log().size(), 4u);
-}
-
-TEST(ChannelControl, ApplyStallToAllReachesEveryChannel) {
-  Simulator sim;
+  EnableStalls(sim, 9, 0.5, 0.1);
   Clock clk(sim, "clk", 1_ns);
   Module top(sim, "top");
   Buffer<int> a(top, "a", clk, 2);
   Buffer<int> b(top, "b", clk, 2);
-  ChannelControl::ApplyStallToAll({.valid_stall_prob = 0.5, .ready_stall_prob = 0.1, .seed = 9});
   Producer prod(top, "prod", clk, 30);
   Consumer cons(top, "cons", clk, 30);
   prod.out(a);
@@ -417,6 +398,62 @@ TEST(ChannelControl, ApplyStallToAllReachesEveryChannel) {
   EXPECT_EQ(cons2.received.size(), 30u);
   // With 50% valid stalls the run must take visibly longer than 30 cycles.
   EXPECT_GT(cons.done_cycle, 40u);
+  const auto& points = sim.chaos().channel_points();
+  ASSERT_EQ(points.size(), 2u);
+  EXPECT_GT(points.at("top.a").stall_events(), 0u);
+  EXPECT_GT(points.at("top.b").stall_events(), 0u);
+}
+
+// One plan seed drives both Connections models: every kind delivers the
+// identical sequence in signal-accurate and sim-accurate mode, and the
+// plan's stalls fire in both.
+TEST(ChannelChaos, SamePlanSameSequenceInBothModels) {
+  auto run = [](SimMode mode, ChannelKind kind) {
+    Simulator sim;
+    sim.set_mode(mode);
+    EnableStalls(sim, 11, 0.3, 0.2);
+    Clock clk(sim, "clk", 1_ns);
+    Module top(sim, "top");
+    auto ch = MakeChannel(top, clk, kind);
+    Producer prod(top, "prod", clk, 40);
+    Consumer cons(top, "cons", clk, 40);
+    prod.out(*ch);
+    cons.in(*ch);
+    sim.Run(20000_ns);
+    EXPECT_GT(sim.chaos().latency_totals().channel_stall_cycles, 0u)
+        << ToString(kind);
+    return cons.received;
+  };
+  for (ChannelKind kind : {ChannelKind::kCombinational, ChannelKind::kBypass,
+                           ChannelKind::kPipeline, ChannelKind::kBuffer}) {
+    const std::vector<int> sim_accurate = run(SimMode::kSimAccurate, kind);
+    ASSERT_EQ(sim_accurate.size(), 40u) << ToString(kind);
+    EXPECT_EQ(run(SimMode::kSignalAccurate, kind), sim_accurate) << ToString(kind);
+  }
+}
+
+// Corruption hooks the sim-accurate commit edge; a signal-accurate channel
+// has none, so the plan entry is reported instead of silently dropped.
+TEST(ChannelChaos, SignalAccurateCorruptionIsReported) {
+  Simulator sim;
+  sim.set_mode(SimMode::kSignalAccurate);
+  FaultPlan plan;
+  plan.corruptions.push_back(
+      CorruptionFault{"top.ch", 3, CorruptionFault::Kind::kDrop, 0});
+  sim.chaos().Enable(plan);
+  Clock clk(sim, "clk", 1_ns);
+  Module top(sim, "top");
+  auto ch = MakeChannel(top, clk, ChannelKind::kBuffer);
+  Producer prod(top, "prod", clk, 10);
+  Consumer cons(top, "cons", clk, 10);
+  prod.out(*ch);
+  cons.in(*ch);
+  sim.Run(1000_ns);
+  EXPECT_EQ(cons.received.size(), 10u);
+  ASSERT_EQ(sim.chaos().config_warnings().size(), 1u);
+  EXPECT_NE(sim.chaos().config_warnings()[0].find("top.ch"), std::string::npos);
+  EXPECT_NE(sim.chaos().config_warnings()[0].find("signal-accurate"),
+            std::string::npos);
 }
 
 // ---------- packetizer / depacketizer ----------

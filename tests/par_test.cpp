@@ -1,14 +1,15 @@
-// craft-par tests: the determinism guarantee (results, stats and trace span
-// sets identical for every worker count), the domain partitioner, the
-// cross-domain wake assert, and stop/resume semantics under the engine.
+// craft-par tests: ground-truth results and the determinism guarantee
+// (results, stats and trace span sets identical for every worker count), the
+// domain partitioner, the cross-domain wake assert, and stop/resume
+// semantics under the engine.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "connections/channel_control.hpp"
 #include "gals/async_channel.hpp"
 #include "kernel/kernel.hpp"
 #include "soc/workloads.hpp"
@@ -120,21 +121,36 @@ std::string TraceFingerprint(const Simulator& sim) {
 
 constexpr unsigned kTokens = 200;
 
-/// n == 0 selects the original single-queue scheduler (pinned explicitly so
-/// a CRAFT_PARALLELISM environment override cannot flip it).
+/// The sink checksum of a `count`-token chain, computed on the host from the
+/// producer and relay formulas: ground truth no scheduler can influence.
+std::uint64_t ExpectedChecksum(unsigned count) {
+  std::uint64_t checksum = 0;
+  for (unsigned i = 0; i < count; ++i) {
+    const std::uint32_t v = i * 2654435761u;
+    checksum = checksum * 31 + (v ^ (v >> 7));
+  }
+  return checksum;
+}
+
+/// `n` is pinned explicitly so a CRAFT_PARALLELISM environment override
+/// cannot change it. stall_seed == 0 runs clean; any other value arms a
+/// craft-chaos channel stall plan on every channel with that seed.
 Fingerprint RunChain(unsigned n, std::uint64_t stall_seed) {
   Simulator sim;
   sim.stats().Enable();
   sim.trace_events().Enable();
   sim.SetParallelism(n);
+  if (stall_seed != 0) {
+    FaultPlan plan;
+    plan.seed = stall_seed;
+    plan.channel_valid_stall_prob = 0.15;
+    plan.channel_ready_stall_prob = 0.10;
+    sim.chaos().Enable(plan);
+  }
   Clock a(sim, "clk_a", 997);
   Clock b(sim, "clk_b", 1361);
   Clock c(sim, "clk_c", 731);
   ChainTop top(sim, a, b, c, kTokens);
-  if (stall_seed != 0) {
-    connections::ChannelControl::ApplyStallToAll(
-        {.valid_stall_prob = 0.15, .ready_stall_prob = 0.10, .seed = stall_seed});
-  }
   sim.Run(3_us);  // fixed horizon: no Stop(), so every run covers the same window
   Fingerprint f;
   f.checksum = top.sink.checksum;
@@ -162,18 +178,21 @@ TEST(ParDeterminism, IdenticalAcrossWorkerCountsAndSeeds) {
   }
 }
 
-// The engine must agree with the original scheduler on everything functional
-// (span-id encoding and delta batching legitimately differ).
-TEST(ParDeterminism, EngineMatchesLegacyFunctionally) {
-  const Fingerprint legacy = RunChain(0, 1);
-  const Fingerprint engine = RunChain(4, 1);
-  EXPECT_EQ(engine.checksum, legacy.checksum);
-  EXPECT_EQ(engine.received, legacy.received);
-  EXPECT_EQ(engine.transfers, legacy.transfers);
+// Every worker count delivers the host-computed result, clean and under
+// stalls: a determinism bug shared by all n cannot hide behind agreement.
+TEST(ParDeterminism, ChainMatchesHostGroundTruth) {
+  const std::uint64_t expected = ExpectedChecksum(kTokens);
+  for (std::uint64_t seed : {0ull, 1ull, 2ull}) {
+    for (unsigned n : {1u, 2u, 4u}) {
+      const Fingerprint f = RunChain(n, seed);
+      EXPECT_EQ(f.received, kTokens) << "n=" << n << " seed=" << seed;
+      EXPECT_EQ(f.checksum, expected) << "n=" << n << " seed=" << seed;
+    }
+  }
 }
 
 // A single-clock design has one group: the engine must degrade to one
-// worker and still match the legacy scheduler.
+// worker and still deliver the host-computed result.
 TEST(ParPartition, SingleClockDesignForcesSingleWorker) {
   auto run = [](unsigned n) {
     Simulator sim;
@@ -197,9 +216,8 @@ TEST(ParPartition, SingleClockDesignForcesSingleWorker) {
     return std::tuple<std::uint64_t, unsigned, unsigned, unsigned>(
         l.sink.checksum, l.sink.received, shape.first, shape.second);
   };
-  const auto legacy = run(0);
   const auto par = run(4);
-  EXPECT_EQ(std::get<0>(par), std::get<0>(legacy));
+  EXPECT_EQ(std::get<0>(par), ExpectedChecksum(100));
   EXPECT_EQ(std::get<1>(par), 100u);
   EXPECT_EQ(std::get<2>(par), 1u);  // one worker
   EXPECT_EQ(std::get<3>(par), 1u);  // one group
@@ -286,10 +304,10 @@ TEST(ParAffinity, CrossDomainEventWakeFaults) {
   EXPECT_THROW(sim.Run(100_us), SimError);
 }
 
-// Same design, single-threaded scheduler: legal (everything is one shard).
-TEST(ParAffinity, CrossDomainEventWakeLegalWithoutEngine) {
+// Same design, one worker: legal (both groups share the worker's shard).
+TEST(ParAffinity, CrossDomainEventWakeLegalOnOneWorker) {
   Simulator sim;
-  sim.SetParallelism(0);  // pin the legacy scheduler even under CRAFT_PARALLELISM
+  sim.SetParallelism(1);  // pinned even under CRAFT_PARALLELISM
   Clock a(sim, "clk_a", 1000);
   Clock b(sim, "clk_b", 1300);
   Event e(sim);
@@ -301,6 +319,42 @@ TEST(ParAffinity, CrossDomainEventWakeLegalWithoutEngine) {
   } top(sim, a, b, e);
   sim.Run(100_us);
   EXPECT_TRUE(top.w.woke);
+}
+
+// ---------------- parallelism entry points ----------------
+
+TEST(ParConfig, SetParallelismZeroRaises) {
+  Simulator sim;
+  EXPECT_THROW(sim.SetParallelism(0), SimError);
+}
+
+// CRAFT_PARALLELISM comes from outside the program: anything but a plain
+// 1..64 raises a SimError naming the value instead of being ignored.
+TEST(ParConfig, MalformedParallelismEnvRaisesNamingValue) {
+  const char* prev = std::getenv("CRAFT_PARALLELISM");
+  const bool had_prev = prev != nullptr;
+  const std::string saved = had_prev ? prev : "";
+  for (const char* bad : {"0", "abc", "-1", "65", "4x", ""}) {
+    setenv("CRAFT_PARALLELISM", bad, 1);
+    try {
+      Simulator sim;
+      ADD_FAILURE() << "accepted CRAFT_PARALLELISM='" << bad << "'";
+    } catch (const SimError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + bad + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  setenv("CRAFT_PARALLELISM", "3", 1);
+  {
+    Simulator sim;
+    EXPECT_EQ(sim.parallelism(), 3u);
+  }
+  if (had_prev) {
+    setenv("CRAFT_PARALLELISM", saved.c_str(), 1);
+  } else {
+    unsetenv("CRAFT_PARALLELISM");
+  }
 }
 
 // ---------------- stop / resume under the engine ----------------

@@ -5,7 +5,10 @@
 // healthy saturating run must keep both watchdogs silent.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdint>
+#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
@@ -294,6 +297,20 @@ TEST(PulseReport, TimelineJsonHasSchemaAndReconciles) {
   EXPECT_NE(om.find("craft_pulse_windows_total"), std::string::npos);
   EXPECT_EQ(om.rfind("# EOF\n"), om.size() - 6);
 }
+
+#ifdef CRAFT_PULSE_BIN
+// Out-of-range --parallelism is a usage error (exit 2), as in craft_cover
+// and craft_farm.
+TEST(PulseCli, ParallelismOutOfRangeIsUsageError) {
+  for (const char* n : {"0", "65"}) {
+    const int st = std::system((std::string(CRAFT_PULSE_BIN) +
+                                " --quiet --parallelism " + n + " 2>/dev/null")
+                                   .c_str());
+    ASSERT_TRUE(WIFEXITED(st)) << n;
+    EXPECT_EQ(WEXITSTATUS(st), 2) << n;
+  }
+}
+#endif
 
 }  // namespace
 }  // namespace craft

@@ -84,9 +84,12 @@ TEST(Retimer, SustainsOneTokenPerCycle) {
 
 TEST(Retimer, WorksUnderStallInjection) {
   Simulator sim;
+  FaultPlan plan;
+  plan.seed = 5;
+  plan.channel_valid_stall_prob = 0.4;
+  sim.chaos().Enable(plan);
   Clock clk(sim, "clk", 1_ns);
   Harness<3> h(sim, clk, 60);
-  ChannelControl::ApplyStallToAll({.valid_stall_prob = 0.4, .seed = 5});
   sim.Run(100_us);
   ASSERT_EQ(h.received.size(), 60u);
   for (int i = 0; i < 60; ++i) EXPECT_EQ(h.received[i], i);
