@@ -8,6 +8,7 @@
 #include <map>
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -128,8 +129,8 @@ BENCHMARK(BM_ChannelTransfers<SimMode::kSimAccurate, true, false, 0, true>)
     ->Name("BM_ChannelTransfers/sim_accurate_cover")->Apply(RepeatedMin);
 BENCHMARK(BM_ChannelTransfers<SimMode::kSignalAccurate, true, false, 0, true>)
     ->Name("BM_ChannelTransfers/signal_accurate_cover")->Apply(RepeatedMin);
-// Identical to the baseline registration: with the cover registry disabled
-// every RegisterChannel site returns nullptr, so this delta is the direct
+// Identical to the baseline registration: with every registry disabled the
+// channel's probe registration returns nullptr, so this delta is the direct
 // measurement of cover's disabled cost (a never-taken branch per hook).
 BENCHMARK(BM_ChannelTransfers<SimMode::kSimAccurate>)
     ->Name("BM_ChannelTransfers/sim_accurate_cover_disabled")->Apply(RepeatedMin);
@@ -231,94 +232,144 @@ int main(int argc, char** argv) {
   // every instrumentation hook (channel stats + trace spans) is on the
   // critical loop. Percentages are relative to the uninstrumented baseline
   // of the same Connections mode; the rerun delta shows the measurement
-  // noise floor that the "disabled" configurations must stay inside.
-  const auto pct = [&](const std::string& num, const std::string& den) {
+  // noise floor that the "disabled" configurations must stay inside. A
+  // ratio whose two sides did not both run (a --benchmark_filter run) is
+  // unmeasured: it prints NOT RUN, its gate is not judged, and its JSON
+  // keys are left out.
+  const auto pct = [&](const std::string& num,
+                       const std::string& den) -> std::optional<double> {
     const double b = reporter.Get(den), v = reporter.Get(num);
-    return b > 0.0 && v > 0.0 ? (v - b) / b * 100.0 : 0.0;
+    if (b <= 0.0 || v <= 0.0) return std::nullopt;
+    return (v - b) / b * 100.0;
   };
-  const double noise = pct("BM_ChannelTransfers/sim_accurate_rerun",
-                           "BM_ChannelTransfers/sim_accurate");
-  const double sim_stats = pct("BM_ChannelTransfers/sim_accurate_stats",
-                               "BM_ChannelTransfers/sim_accurate");
-  const double sig_stats = pct("BM_ChannelTransfers/signal_accurate_stats",
-                               "BM_ChannelTransfers/signal_accurate");
-  const double sim_trace = pct("BM_ChannelTransfers/sim_accurate_trace",
-                               "BM_ChannelTransfers/sim_accurate");
-  const double sig_trace = pct("BM_ChannelTransfers/signal_accurate_trace",
-                               "BM_ChannelTransfers/signal_accurate");
+  const auto noise = pct("BM_ChannelTransfers/sim_accurate_rerun",
+                         "BM_ChannelTransfers/sim_accurate");
+  const auto sim_stats = pct("BM_ChannelTransfers/sim_accurate_stats",
+                             "BM_ChannelTransfers/sim_accurate");
+  const auto sig_stats = pct("BM_ChannelTransfers/signal_accurate_stats",
+                             "BM_ChannelTransfers/signal_accurate");
+  const auto sim_trace = pct("BM_ChannelTransfers/sim_accurate_trace",
+                             "BM_ChannelTransfers/sim_accurate");
+  const auto sig_trace = pct("BM_ChannelTransfers/signal_accurate_trace",
+                             "BM_ChannelTransfers/signal_accurate");
   // Pulse sampling rides on top of stats, so its marginal cost is measured
   // against the stats-enabled configuration.
-  const double pulse_1k = pct("BM_ChannelTransfers/sim_accurate_pulse1k",
-                              "BM_ChannelTransfers/sim_accurate_stats");
-  const double pulse_10k = pct("BM_ChannelTransfers/sim_accurate_pulse10k",
-                               "BM_ChannelTransfers/sim_accurate_stats");
+  const auto pulse_1k = pct("BM_ChannelTransfers/sim_accurate_pulse1k",
+                            "BM_ChannelTransfers/sim_accurate_stats");
+  const auto pulse_10k = pct("BM_ChannelTransfers/sim_accurate_pulse10k",
+                             "BM_ChannelTransfers/sim_accurate_stats");
   // craft-cover: marginal cost over stats (enabled) and the direct
   // disabled-cost measurement against the baseline.
-  const double sim_cover = pct("BM_ChannelTransfers/sim_accurate_cover",
-                               "BM_ChannelTransfers/sim_accurate_stats");
-  const double sig_cover = pct("BM_ChannelTransfers/signal_accurate_cover",
-                               "BM_ChannelTransfers/signal_accurate_stats");
-  const double cover_disabled = pct("BM_ChannelTransfers/sim_accurate_cover_disabled",
-                                    "BM_ChannelTransfers/sim_accurate");
-  // With all three registries disabled this binary IS the baseline, so the
+  const auto sim_cover = pct("BM_ChannelTransfers/sim_accurate_cover",
+                             "BM_ChannelTransfers/sim_accurate_stats");
+  const auto sig_cover = pct("BM_ChannelTransfers/signal_accurate_cover",
+                             "BM_ChannelTransfers/signal_accurate_stats");
+  const auto cover_disabled = pct("BM_ChannelTransfers/sim_accurate_cover_disabled",
+                                  "BM_ChannelTransfers/sim_accurate");
+
+  // A gate is judged only when every ratio it reads was measured; the
+  // noise-widened bounds also need the noise floor.
+  struct Gate {
+    const char* json_key;
+    std::optional<bool> ok;  // nullopt: NOT RUN
+  };
+  const auto judge = [](std::initializer_list<std::optional<double>> in,
+                        auto pass) -> std::optional<bool> {
+    for (const auto& v : in) {
+      if (!v) return std::nullopt;
+    }
+    return pass();
+  };
+  // With all registries disabled this binary IS the baseline, so the
   // disabled overhead (stats, trace, and pulse's scheduler compare alike)
   // manifests as the rerun delta (pure noise). |noise| <= 5% is the
   // acceptance bound for instrumentation-disabled overhead.
-  const bool disabled_ok = std::fabs(noise) <= 5.0;
+  const Gate disabled{"disabled_overhead_within_5pct",
+                      judge({noise}, [&] { return std::fabs(*noise) <= 5.0; })};
   // Deployment guidance bound: sampling every >= 10k cycles must stay under
   // 2% (widened to the measured noise floor when a noisy host exceeds it).
-  const bool pulse_10k_ok = pulse_10k <= std::max(2.0, std::fabs(noise) + 1.0);
+  const Gate pulse_gate{"pulse_10k_within_2pct", judge({pulse_10k, noise}, [&] {
+                          return *pulse_10k <= std::max(2.0, std::fabs(*noise) + 1.0);
+                        })};
   // Cover bounds: disabled must stay within 0.5% (widened to the measured
   // noise floor on noisy hosts — the honest lower limit of what this harness
   // can resolve); enabled must stay within 5% of the stats configuration.
-  const bool cover_disabled_ok =
-      std::fabs(cover_disabled) <= std::max(0.5, std::fabs(noise) + 0.5);
-  const bool cover_enabled_ok = sim_cover <= std::max(5.0, std::fabs(noise) + 1.0);
+  const Gate cover_disabled_gate{
+      "cover_disabled_within_half_pct", judge({cover_disabled, noise}, [&] {
+        return std::fabs(*cover_disabled) <= std::max(0.5, std::fabs(*noise) + 0.5);
+      })};
+  const Gate cover_enabled_gate{"cover_enabled_within_5pct", judge({sim_cover, noise}, [&] {
+                                  return *sim_cover <= std::max(5.0, std::fabs(*noise) + 1.0);
+                                })};
 
+  const auto value = [](const std::optional<double>& v) {
+    char buf[32];
+    if (v) {
+      std::snprintf(buf, sizeof buf, "%+6.2f%%", *v);
+    } else {
+      std::snprintf(buf, sizeof buf, "NOT RUN");
+    }
+    return std::string(buf);
+  };
+  const auto verdict = [](const Gate& g) {
+    return !g.ok ? "NOT RUN" : *g.ok ? "PASS" : "FAIL";
+  };
   std::printf("\n--- instrumentation overhead (BM_ChannelTransfers) ---\n");
-  std::printf("disabled rerun delta (noise floor):      %+6.2f%%  [tracing/stats/pulse"
+  std::printf("disabled rerun delta (noise floor):      %s  [tracing/stats/pulse"
               " disabled overhead, bound <= 5%%: %s]\n",
-              noise, disabled_ok ? "PASS" : "FAIL");
-  std::printf("stats enabled, sim-accurate:             %+6.2f%%\n", sim_stats);
-  std::printf("stats enabled, signal-accurate:          %+6.2f%%\n", sig_stats);
-  std::printf("trace enabled, sim-accurate:             %+6.2f%%\n", sim_trace);
-  std::printf("trace enabled, signal-accurate:          %+6.2f%%\n", sig_trace);
-  std::printf("pulse @ 1k-cycle period (vs stats):      %+6.2f%%\n", pulse_1k);
-  std::printf("pulse @ 10k-cycle period (vs stats):     %+6.2f%%  [bound <= 2%%: %s]\n",
-              pulse_10k, pulse_10k_ok ? "PASS" : "FAIL");
-  std::printf("cover disabled (vs baseline):            %+6.2f%%  [bound <= 0.5%%: %s]\n",
-              cover_disabled, cover_disabled_ok ? "PASS" : "FAIL");
-  std::printf("cover enabled, sim-accurate (vs stats):  %+6.2f%%  [bound <= 5%%: %s]\n",
-              sim_cover, cover_enabled_ok ? "PASS" : "FAIL");
-  std::printf("cover enabled, signal-accurate (vs stats): %+6.2f%%\n", sig_cover);
+              value(noise).c_str(), verdict(disabled));
+  std::printf("stats enabled, sim-accurate:             %s\n", value(sim_stats).c_str());
+  std::printf("stats enabled, signal-accurate:          %s\n", value(sig_stats).c_str());
+  std::printf("trace enabled, sim-accurate:             %s\n", value(sim_trace).c_str());
+  std::printf("trace enabled, signal-accurate:          %s\n", value(sig_trace).c_str());
+  std::printf("pulse @ 1k-cycle period (vs stats):      %s\n", value(pulse_1k).c_str());
+  std::printf("pulse @ 10k-cycle period (vs stats):     %s  [bound <= 2%%: %s]\n",
+              value(pulse_10k).c_str(), verdict(pulse_gate));
+  std::printf("cover disabled (vs baseline):            %s  [bound <= 0.5%%: %s]\n",
+              value(cover_disabled).c_str(), verdict(cover_disabled_gate));
+  std::printf("cover enabled, sim-accurate (vs stats):  %s  [bound <= 5%%: %s]\n",
+              value(sim_cover).c_str(), verdict(cover_enabled_gate));
+  std::printf("cover enabled, signal-accurate (vs stats): %s\n", value(sig_cover).c_str());
 
-  const double base_ns = reporter.Get("BM_ChannelTransfers/sim_accurate");
   namespace bj = craft::bench;
-  bj::EmitJson(
-      "kernel_microbench",
-      {bj::Num("channel_transfers_sim_accurate_ns_per_iter", base_ns),
-       bj::Num("channel_transfers_signal_accurate_ns_per_iter",
-               reporter.Get("BM_ChannelTransfers/signal_accurate")),
-       bj::Num("transfers_per_sec_sim_accurate",
-               base_ns > 0.0 ? 2000.0 / (base_ns * 1e-9) : 0.0),
-       bj::Num("disabled_overhead_noise_pct", noise),
-       bj::Bool("disabled_overhead_within_5pct", disabled_ok),
-       bj::Num("stats_enabled_overhead_pct_sim_accurate", sim_stats),
-       bj::Num("stats_enabled_overhead_pct_signal_accurate", sig_stats),
-       bj::Num("trace_enabled_overhead_pct_sim_accurate", sim_trace),
-       bj::Num("trace_enabled_overhead_pct_signal_accurate", sig_trace),
-       bj::Num("pulse_1k_cycle_overhead_pct", pulse_1k),
-       bj::Num("pulse_10k_cycle_overhead_pct", pulse_10k),
-       bj::Bool("pulse_10k_within_2pct", pulse_10k_ok),
-       bj::Num("cover_disabled_overhead_pct", cover_disabled),
-       bj::Bool("cover_disabled_within_half_pct", cover_disabled_ok),
-       bj::Num("cover_enabled_overhead_pct_sim_accurate", sim_cover),
-       bj::Num("cover_enabled_overhead_pct_signal_accurate", sig_cover),
-       bj::Bool("cover_enabled_within_5pct", cover_enabled_ok),
-       bj::Num("fiber_switch_ns", reporter.Get("BM_FiberSwitch")),
-       bj::Num("softfloat_muladd_ns", reporter.Get("BM_SoftFloatMulAdd"))});
+  std::vector<bj::Metric> metrics;
+  const auto num = [&](const char* key, const std::optional<double>& v) {
+    if (v) metrics.push_back(bj::Num(key, *v));
+  };
+  const auto gate = [&](const Gate& g) {
+    if (g.ok) metrics.push_back(bj::Bool(g.json_key, *g.ok));
+  };
+  const double base_ns = reporter.Get("BM_ChannelTransfers/sim_accurate");
+  metrics.push_back(bj::Num("channel_transfers_sim_accurate_ns_per_iter", base_ns));
+  metrics.push_back(bj::Num("channel_transfers_signal_accurate_ns_per_iter",
+                            reporter.Get("BM_ChannelTransfers/signal_accurate")));
+  metrics.push_back(bj::Num("transfers_per_sec_sim_accurate",
+                            base_ns > 0.0 ? 2000.0 / (base_ns * 1e-9) : 0.0));
+  num("disabled_overhead_noise_pct", noise);
+  gate(disabled);
+  num("stats_enabled_overhead_pct_sim_accurate", sim_stats);
+  num("stats_enabled_overhead_pct_signal_accurate", sig_stats);
+  num("trace_enabled_overhead_pct_sim_accurate", sim_trace);
+  num("trace_enabled_overhead_pct_signal_accurate", sig_trace);
+  num("pulse_1k_cycle_overhead_pct", pulse_1k);
+  num("pulse_10k_cycle_overhead_pct", pulse_10k);
+  gate(pulse_gate);
+  num("cover_disabled_overhead_pct", cover_disabled);
+  gate(cover_disabled_gate);
+  num("cover_enabled_overhead_pct_sim_accurate", sim_cover);
+  num("cover_enabled_overhead_pct_signal_accurate", sig_cover);
+  gate(cover_enabled_gate);
+  metrics.push_back(bj::Num("fiber_switch_ns", reporter.Get("BM_FiberSwitch")));
+  metrics.push_back(bj::Num("softfloat_muladd_ns", reporter.Get("BM_SoftFloatMulAdd")));
+  bj::EmitJson("kernel_microbench", metrics);
   benchmark::Shutdown();
-  return disabled_ok && pulse_10k_ok && cover_disabled_ok && cover_enabled_ok
-             ? 0
-             : 1;
+
+  // Only judged gates decide the exit status; a NOT RUN gate is counted as
+  // such, never as a pass.
+  int pass = 0, fail = 0, not_run = 0;
+  for (const Gate* g : {&disabled, &pulse_gate, &cover_disabled_gate, &cover_enabled_gate}) {
+    ++(!g->ok ? not_run : *g->ok ? pass : fail);
+  }
+  std::printf("gates: %d PASS, %d FAIL, %d NOT RUN\n", pass, fail, not_run);
+  return fail == 0 ? 0 : 1;
 }

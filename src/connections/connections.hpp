@@ -47,16 +47,13 @@
 #include <typeinfo>
 #include <utility>
 
-#include "kernel/chaos.hpp"
 #include "kernel/clock.hpp"
-#include "kernel/cover.hpp"
 #include "kernel/design_graph.hpp"
 #include "kernel/event.hpp"
 #include "kernel/module.hpp"
+#include "kernel/probe.hpp"
 #include "kernel/report.hpp"
 #include "kernel/signal.hpp"
-#include "kernel/stats.hpp"
-#include "kernel/trace_events.hpp"
 
 namespace craft::connections {
 
@@ -99,24 +96,12 @@ class Channel : public Module {
         full_name(), ToString(kind_), capacity_,
         /*zero_storage=*/kind_ == ChannelKind::kCombinational, &clk_, clk_.name(),
         clk_.period(), latency_cycles});
-    // nullptr unless craft-stats was enabled before elaboration; every
-    // instrumentation site below guards on it, so the disabled cost is one
-    // never-taken branch per operation.
-    stats_ = sim().stats().RegisterChannel(full_name(), ToString(kind), capacity_,
-                                           clk_.period());
-    // Same contract for craft-trace: span slices + blame samples, nullptr
-    // (and one never-taken branch per operation) unless enabled.
-    trace_ = sim().trace_events().RegisterTrack(full_name(), ToString(kind),
-                                                clk_.name());
-    // And for craft-chaos: nullptr unless a fault plan schedules stalls or
-    // corruption for this channel. ChaosFlip<T> gates which channels may
-    // host bit-flips (only types with a payload to flip, e.g. Flit). The
-    // point is the stall source of both Connections models (paper §2.3's
-    // random stall injection).
-    chaos_ = sim().chaos().RegisterChannel(full_name(), ChaosFlip<T>::kSupported);
-    // And for craft-cover: occupancy-band residency bins, nullptr (one
-    // never-taken branch per successful operation) unless enabled.
-    cover_ = sim().cover().RegisterChannel(full_name(), capacity_);
+    // nullptr unless stats, trace, cover or a chaos plan covers this
+    // channel, so the uninstrumented cost is one never-taken branch per
+    // hook. The probe's chaos stalls drive both Connections models (paper
+    // §2.3's random stall injection).
+    probe_ = sim().probes().RegisterChannel(full_name(), ToString(kind), capacity_,
+                                            clk_, ChaosFlip<T>::kSupported);
     if (sim().mode() == SimMode::kSignalAccurate) {
       BuildSignalAccurate();
     } else {
@@ -192,30 +177,6 @@ class Channel : public Module {
                        "GALS crossing (PausibleBisyncFifo / AsyncChannel)");
   }
 
-  // ---- craft-stats instrumentation (no-ops when stats_ == nullptr) ----
-
-  /// Successful enqueue: count it, stamp the message for the latency
-  /// histogram, and refresh the occupancy high-water mark. Stamps live in a
-  /// side deque in FIFO order (tokens commit from staged_ to q_ in push
-  /// order, so the fronts stay aligned across both storage stages).
-  void StatEnqueue() {
-    ++stats_->enqueues;
-    enq_times_.push_back(sim().now());
-    const std::size_t occ = occupancy();
-    if (occ > stats_->occupancy_high_water) stats_->occupancy_high_water = occ;
-  }
-
-  /// Successful dequeue: count it and record enqueue->dequeue latency in
-  /// (nominal) cycles of this channel's clock.
-  void StatDequeue() {
-    ++stats_->dequeues;
-    if (!enq_times_.empty()) {
-      const Time dt = sim().now() - enq_times_.front();
-      enq_times_.pop_front();
-      stats_->latency.Record(dt / clk_.period());
-    }
-  }
-
   // ================= sim-accurate implementation =================
 
   /// Edge hook: commits the producer's staged token into the queue, exactly
@@ -233,19 +194,19 @@ class Channel : public Module {
     }
     if (staged_.has_value() && q_.size() < capacity_) {
       bool keep_staged = false;
-      if (chaos_ != nullptr) {
+      if (probe_) {
         unsigned bit = 0;
-        switch (chaos_->OnCommit(&bit)) {
-          case ChaosChannelPoint::Commit::kNone:
+        switch (probe_->OnCommit(&bit)) {
+          case ChannelProbe::Commit::kNone:
             break;
-          case ChaosChannelPoint::Commit::kBitFlip:
+          case ChannelProbe::Commit::kBitFlip:
             ChaosFlip<T>::Flip(*staged_, bit);
             break;
-          case ChaosChannelPoint::Commit::kDrop:
+          case ChannelProbe::Commit::kDrop:
             staged_.reset();
             space_event_.Notify();
             return;
-          case ChaosChannelPoint::Commit::kDuplicate:
+          case ChannelProbe::Commit::kDuplicate:
             keep_staged = true;
             break;
         }
@@ -263,31 +224,14 @@ class Channel : public Module {
 
   bool SimPushNB(const T& v) {
     const bool ok = SimPushNBImpl(v);
-    if (stats_) {
-      if (ok) {
-        StatEnqueue();
-      } else {
-        ++stats_->push_rejects;
-      }
-    }
-    if (trace_) {
-      // A reject is one cycle of link-level backpressure for a polling
-      // producer (router switch traversal) — same blame sample as a
-      // blocking-push stall cycle.
-      if (ok) {
-        trace_->Enqueue();
-      } else {
-        trace_->PushStall();
-      }
-    }
-    if (cover_ != nullptr && ok) cover_->OnOccupancy(occupancy());
+    if (probe_) ok ? probe_->OnEnqueue(occupancy()) : probe_->OnPushReject();
     return ok;
   }
 
   bool SimPushNBImpl(const T& v) {
     const std::uint64_t c = clk_.cycle();
     if (last_push_cycle_ == c) return false;  // at most one token per cycle
-    if (chaos_ != nullptr && chaos_->ReadyStalled(c)) return false;
+    if (probe_ && probe_->ReadyStalled(c)) return false;
     switch (kind_) {
       case ChannelKind::kCombinational:
         if (staged_.has_value()) return false;  // previous offer not yet taken
@@ -319,13 +263,10 @@ class Channel : public Module {
 
   void SimPush(const T& v) {
     while (!SimPushNBImpl(v)) {
-      if (stats_) ++stats_->full_stall_cycles;
-      if (trace_) trace_->PushStall();
+      if (probe_) probe_->OnPushStall();
       wait();
     }
-    if (stats_) StatEnqueue();
-    if (trace_) trace_->Enqueue();
-    if (cover_ != nullptr) cover_->OnOccupancy(occupancy());
+    if (probe_) probe_->OnEnqueue(occupancy());
     if (kind_ == ChannelKind::kCombinational) {
       // Rendezvous: hold the offer until the consumer takes it.
       while (staged_.has_value()) wait(consumed_event());
@@ -334,24 +275,14 @@ class Channel : public Module {
 
   bool SimPopNB(T& out) {
     const bool ok = SimPopNBImpl(out);
-    if (stats_) {
-      if (ok) {
-        StatDequeue();
-      } else {
-        ++stats_->pop_rejects;
-      }
-    }
-    // Failed polls of an empty channel are not starvation evidence (routers
-    // scan all inputs every cycle), so only successful pops are traced.
-    if (trace_ && ok) trace_->Dequeue();
-    if (cover_ != nullptr && ok) cover_->OnOccupancy(occupancy());
+    if (probe_) ok ? probe_->OnDequeue(occupancy()) : probe_->OnPopReject();
     return ok;
   }
 
   bool SimPopNBImpl(T& out) {
     const std::uint64_t c = clk_.cycle();
     if (last_pop_cycle_ == c) return false;  // one token per cycle
-    if (chaos_ != nullptr && chaos_->ValidStalled(c)) return false;
+    if (probe_ && probe_->ValidStalled(c)) return false;
     switch (kind_) {
       case ChannelKind::kCombinational:
         if (!staged_.has_value()) return false;
@@ -391,8 +322,7 @@ class Channel : public Module {
   T SimPop() {
     T out{};
     while (!SimPopNBImpl(out)) {
-      if (stats_ && !PeekAvailable()) ++stats_->empty_stall_cycles;
-      if (trace_ && !PeekAvailable()) trace_->PopStall();
+      if (probe_ && !PeekAvailable()) probe_->OnPopStall();
       if ((kind_ == ChannelKind::kCombinational || kind_ == ChannelKind::kBypass) &&
           !PeekAvailable()) {
         // Same-cycle visibility: wake on an offer within this timestep.
@@ -403,9 +333,7 @@ class Channel : public Module {
         wait();
       }
     }
-    if (stats_) StatDequeue();
-    if (trace_) trace_->Dequeue();
-    if (cover_ != nullptr) cover_->OnOccupancy(occupancy());
+    if (probe_) probe_->OnDequeue(occupancy());
     return out;
   }
 
@@ -428,7 +356,7 @@ class Channel : public Module {
     sig_->c_ready.AddSensitive(comb);
     sig_->state_change.AddSensitive(comb);
     Method("seq", [this] { SigSeq(); }).SensitiveTo(clk_);
-    if (chaos_ != nullptr) {
+    if (probe_ && probe_->faults_armed()) {
       // Retrigger the combinational method every cycle so the craft-chaos
       // stall mask, rolled lazily per cycle, applies to this cycle's
       // valid/ready.
@@ -458,8 +386,8 @@ class Channel : public Module {
 
   /// Combinational outputs as a function of registered state and inputs.
   void SigComb() {
-    const bool stall_valid = chaos_ != nullptr && chaos_->ValidStalled(clk_.cycle());
-    const bool stall_ready = chaos_ != nullptr && chaos_->ReadyStalled(clk_.cycle());
+    const bool stall_valid = probe_ && probe_->ValidStalled(clk_.cycle());
+    const bool stall_ready = probe_ && probe_->ReadyStalled(clk_.cycle());
     switch (kind_) {
       case ChannelKind::kCombinational: {
         // No storage: a stall of either signal must kill the handshake on
@@ -503,81 +431,37 @@ class Channel : public Module {
   }
 
   /// Sequential state update at the posedge, sampling committed signals.
+  /// Transfers are probed here, enqueue before dequeue, so a same-edge
+  /// transfer records latency 0. The method runs outside any thread
+  /// process, so there is no span context to propagate: each hop gets a
+  /// fresh root span (only cross-channel span identity is a sim-accurate-
+  /// mode feature). Stalls and rejects are the port operations' to report.
   void SigSeq() {
     const bool in_xfer = sig_->p_valid.read() && sig_->p_ready.read();
     const bool out_xfer = sig_->c_valid.read() && sig_->c_ready.read();
-    bool stat_enq = false;
-    bool stat_deq = false;
-    switch (kind_) {
-      case ChannelKind::kCombinational:
-        if (in_xfer && out_xfer) {
-          ++transfers_;
-          stat_enq = stat_deq = true;
-        }
-        SigSeqStats(stat_enq, stat_deq);
-        SigSeqTrace(stat_enq, stat_deq);
-        if (cover_ != nullptr && stat_enq) {
-          // The rendezvous is atomic at the edge: model it as offer-then-
-          // take so the full and empty bands both register an entry, matching
-          // the sim-accurate staging sequence.
-          cover_->OnOccupancy(1);
-          cover_->OnOccupancy(0);
-        }
-        return;  // no state
-      case ChannelKind::kBypass: {
-        const bool bypassed = out_xfer && q_.empty();
-        if (out_xfer && !q_.empty()) q_.pop_front();
-        if (in_xfer && !bypassed) q_.push_back(sig_->p_msg.read());
-        if (out_xfer) ++transfers_;
-        // The bypassed token is both enqueued and dequeued this edge, so the
-        // stamp pushed by StatEnqueue is immediately consumed (latency 0).
-        stat_enq = in_xfer;
-        stat_deq = out_xfer;
-        break;
-      }
-      case ChannelKind::kPipeline:
-      case ChannelKind::kBuffer:
-        if (out_xfer) {
-          q_.pop_front();
-          ++transfers_;
-        }
-        if (in_xfer) {
-          CRAFT_ASSERT(q_.size() < capacity_, full_name() << ": FIFO overflow");
-          q_.push_back(sig_->p_msg.read());
-        }
-        stat_enq = in_xfer;
-        stat_deq = out_xfer;
-        break;
+    // A token taken from an empty queue (always, for Combinational) went
+    // around the storage in the same edge; it is probed as offer-then-take,
+    // matching the sim-accurate staging sequence.
+    const bool bypassed = out_xfer && q_.empty();
+    if (out_xfer) ++transfers_;
+    if (out_xfer && !bypassed) q_.pop_front();
+    if (in_xfer && !bypassed) {
+      CRAFT_ASSERT(q_.size() < capacity_, full_name() << ": FIFO overflow");
+      q_.push_back(sig_->p_msg.read());
     }
-    SigSeqStats(stat_enq, stat_deq);
-    SigSeqTrace(stat_enq, stat_deq);
-    if (cover_ != nullptr && (stat_enq || stat_deq)) cover_->OnOccupancy(q_.size());
-    sig_->state_change.write(sig_->state_change.read() + 1);
-  }
-
-  /// Stats for the signal-accurate edge: enqueue stamps before dequeue pops
-  /// so a same-edge (combinational / bypassed) transfer records latency 0.
-  void SigSeqStats(bool enq, bool deq) {
-    if (!stats_) return;
-    if (enq) StatEnqueue();
-    if (deq) StatDequeue();
-    if (sig_->p_valid.read() && !sig_->p_ready.read()) ++stats_->full_stall_cycles;
-    if (sig_->c_ready.read() && !sig_->c_valid.read()) ++stats_->empty_stall_cycles;
-  }
-
-  /// Trace for the signal-accurate edge. The sequential method runs outside
-  /// any thread process, so there is no span context to propagate: each hop
-  /// gets a fresh root span (slices and stall episodes stay exact; only
-  /// cross-channel span identity is a sim-accurate-mode feature).
-  void SigSeqTrace(bool enq, bool deq) {
-    if (!trace_) return;
-    if (enq) trace_->Enqueue();
-    if (deq) trace_->Dequeue();
-    if (sig_->p_valid.read() && !sig_->p_ready.read()) trace_->PushStall();
-    if (sig_->c_ready.read() && !sig_->c_valid.read()) trace_->PopStall();
+    if (probe_) {
+      if (in_xfer) probe_->OnEnqueue(q_.size() + (bypassed ? 1 : 0));
+      if (out_xfer) probe_->OnDequeue(q_.size());
+    }
+    if (kind_ != ChannelKind::kCombinational) {
+      sig_->state_change.write(sig_->state_change.read() + 1);
+    }
   }
 
   // Port protocols: the paper's delayed operations (§2.3 code snippet).
+  // Successful handshakes are probed at the edge by SigSeq; a reject or a
+  // stall cycle is visible only to the endpoint, which reports it exactly
+  // as the sim-accurate ports do.
 
   bool SigPushNB(const T& v) {
     sig_->p_msg.write(v);     // write data bits
@@ -585,18 +469,16 @@ class Channel : public Module {
     wait();                   // one cycle delay
     sig_->p_valid.write(false);  // clear valid bit (delayed operation)
     const bool ok = sig_->p_ready.read();
-    // Successful handshakes are counted at the edge by SigSeq; only the
-    // rejection is visible solely to this endpoint.
-    if (stats_ && !ok) ++stats_->push_rejects;
+    if (probe_ && !ok) probe_->OnPushReject();
     return ok;
   }
 
   void SigPush(const T& v) {
     sig_->p_msg.write(v);
     sig_->p_valid.write(true);
-    do {
-      wait();
-    } while (!sig_->p_ready.read());
+    for (wait(); !sig_->p_ready.read(); wait()) {
+      if (probe_) probe_->OnPushStall();
+    }
     sig_->p_valid.write(false);
   }
 
@@ -608,15 +490,15 @@ class Channel : public Module {
       out = sig_->c_msg.read();
       return true;
     }
-    if (stats_) ++stats_->pop_rejects;
+    if (probe_) probe_->OnPopReject();
     return false;
   }
 
   T SigPop() {
     sig_->c_ready.write(true);
-    do {
-      wait();
-    } while (!sig_->c_valid.read());
+    for (wait(); !sig_->c_valid.read(); wait()) {
+      if (probe_) probe_->OnPopStall();
+    }
     sig_->c_ready.write(false);
     return sig_->c_msg.read();
   }
@@ -635,27 +517,10 @@ class Channel : public Module {
 
   std::uint64_t transfers_ = 0;
 
-  // craft-stats: nullptr unless enabled before elaboration; enq_times_ holds
-  // the enqueue timestamp per in-flight token for the latency histogram.
-  ChannelStats* stats_ = nullptr;
-  std::deque<Time> enq_times_;
-
-  // craft-trace: nullptr unless enabled before elaboration. The track owns
-  // the per-token span queue (same FIFO-alignment argument as enq_times_).
-  TraceTrack* trace_ = nullptr;
-
-  // craft-chaos: nullptr unless a fault plan targets this channel. In the
-  // signal-accurate model it only masks valid/ready (corruption hooks the
-  // sim-accurate commit edge). A dropped
-  // or duplicated commit intentionally misaligns enq_times_/trace spans with
-  // the surviving tokens; both consumers tolerate that (guards / defensive
-  // dequeues), and the skew is itself evidence for detection.
-  ChaosChannelPoint* chaos_ = nullptr;
-
-  // craft-cover: nullptr unless enabled before elaboration. Samples the
-  // occupancy after every successful operation; band-entry counters advance
-  // only on band changes, so the bins are schedule-length independent.
-  CoverChannelPoint* cover_ = nullptr;
+  // Instrumentation probe: nullptr unless a registry covers this channel.
+  // In the signal-accurate model its chaos point only masks valid/ready
+  // (corruption hooks the sim-accurate commit edge).
+  ChannelProbe* probe_ = nullptr;
 
   std::unique_ptr<Signals> sig_;  // signal-accurate mode only
 };

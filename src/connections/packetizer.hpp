@@ -88,11 +88,10 @@ class Packetizer : public Module {
     sim().design_graph().AddPacketizer(DesignGraph::PacketizerNode{
         full_name(), DemangleTypeName(typeid(T).name()), Marshal<T>::kWidth,
         kFlitBits, /*is_packetizer=*/true});
-    if (sim().trace_events().enabled()) trace_sink_ = &sim().trace_events();
-    // craft-cover flit-count bins; nullptr (never-taken branch) unless
-    // enabled before elaboration.
-    cover_ = sim().cover().RegisterPacketizer(full_name(), FlitsPerMessage(),
-                                              /*is_packetizer=*/true);
+    // Trace flit spans and cover flit-count bins; nullptr (a never-taken
+    // branch) unless either is enabled before elaboration.
+    probe_ = sim().probes().RegisterPacketizer(full_name(), FlitsPerMessage(),
+                                               /*is_packetizer=*/true);
     Thread("run", clk, [this] { Run(); });
   }
 
@@ -104,15 +103,10 @@ class Packetizer : public Module {
   void Run() {
     for (;;) {
       const T msg = in.Pop();
-      // craft-trace: the pop deposited the message's span in this thread's
-      // context; take it as the PARENT and give every flit its own child
-      // span, so a flit's whole NoC journey hangs off the message span.
-      const std::uint64_t parent =
-          trace_sink_ != nullptr ? trace_sink_->TakeContextOrNew() : 0;
       BitStream bits;
       Marshal<T>::Write(bits, msg);
       const auto flits = bits.ToFlits(kFlitBits);
-      if (cover_ != nullptr) cover_->OnMessage(flits.size());
+      if (probe_) probe_->OnMessage(flits.size());
       const std::uint8_t dest = route_(msg);
       for (std::size_t i = 0; i < flits.size(); ++i) {
         Flit f;
@@ -120,18 +114,14 @@ class Packetizer : public Module {
         f.first = (i == 0);
         f.last = (i + 1 == flits.size());
         f.dest = dest;
-        if (trace_sink_ != nullptr) {
-          trace_sink_->SetContext(
-              trace_sink_->NewSpan(parent, static_cast<std::uint32_t>(i)));
-        }
+        if (probe_) probe_->OnFlit(i);
         out.Push(f);
       }
     }
   }
 
   std::function<std::uint8_t(const T&)> route_;
-  TraceEventSink* trace_sink_ = nullptr;  // craft-trace; nullptr unless enabled
-  CoverPacketizerPoint* cover_ = nullptr;  // craft-cover; nullptr unless enabled
+  PacketizerProbe* probe_ = nullptr;  // nullptr unless instrumented
 };
 
 /// DePacketizer: pops flits, reassembles and pushes T messages.
@@ -148,13 +138,12 @@ class DePacketizer : public Module {
     sim().design_graph().AddPacketizer(DesignGraph::PacketizerNode{
         full_name(), DemangleTypeName(typeid(T).name()), Marshal<T>::kWidth,
         kFlitBits, /*is_packetizer=*/false});
-    if (sim().trace_events().enabled()) trace_sink_ = &sim().trace_events();
-    if (sim().chaos().enabled()) chaos_ = &sim().chaos();
-    // craft-cover assembly-outcome bins. This makes the framing-check
-    // discard paths observable without a chaos plan armed (the checks
-    // themselves always run; only the detection *reporting* needs chaos).
-    cover_ = sim().cover().RegisterPacketizer(full_name(), FlitsPerMessage(),
-                                              /*is_packetizer=*/false);
+    // Trace span resumption, chaos detection reports and cover assembly-
+    // outcome bins. Cover makes the framing-check discard paths observable
+    // without a chaos plan armed (the checks themselves always run; only
+    // the detection *reporting* needs chaos).
+    probe_ = sim().probes().RegisterPacketizer(full_name(), FlitsPerMessage(),
+                                               /*is_packetizer=*/false);
     Thread("run", clk, [this] { Run(); });
   }
 
@@ -163,37 +152,25 @@ class DePacketizer : public Module {
   }
 
  private:
+  using Framing = PacketizerProbe::Framing;
+
   void Run() {
     std::vector<std::uint64_t> flits;
-    std::uint64_t parent = 0;
     for (;;) {
       const Flit f = in.Pop();
-      // craft-chaos framing checks: the fixed flits-per-message framing is
-      // this reassembler's checksum. A dropped or duplicated flit anywhere
+      // Framing checks: the fixed flits-per-message framing is this
+      // reassembler's checksum. A dropped or duplicated flit anywhere
       // upstream desynchronizes first/last against the accumulator, which is
-      // the detection the corruption oracle requires (a flip is caught by
-      // the payload oracle downstream instead).
+      // the detection the craft-chaos corruption oracle requires (a flip is
+      // caught by the payload oracle downstream instead).
       if (f.first && !flits.empty()) {
-        if (cover_ != nullptr) cover_->OnHeadResync();
-        if (chaos_ != nullptr) {
-          chaos_->ReportDetection(full_name(), "framing-head",
-                                  "head flit arrived mid-assembly (" +
-                                      std::to_string(flits.size()) + " of " +
-                                      std::to_string(FlitsPerMessage()) +
-                                      " flits buffered)");
-        }
+        if (probe_) probe_->OnFraming(Framing::kHeadResync, flits.size());
       } else if (!f.first && flits.empty()) {
-        if (cover_ != nullptr) cover_->OnOrphan();
-        if (chaos_ != nullptr) {
-          chaos_->ReportDetection(full_name(), "framing-orphan",
-                                  "mid-packet flit with no packet open");
-        }
+        if (probe_) probe_->OnFraming(Framing::kOrphan, 0);
       }
-      if (f.first) flits.clear();
-      if (trace_sink_ != nullptr && f.first) {
-        // The popped head flit left its child span in the thread context;
-        // resume the original message span for the reassembled push.
-        parent = trace_sink_->ParentOf(trace_sink_->PeekContext());
+      if (f.first) {
+        flits.clear();
+        if (probe_) probe_->OnHead();
       }
       flits.push_back(f.payload);
       if (f.last) {
@@ -201,29 +178,19 @@ class DePacketizer : public Module {
           // Malformed packet: discard instead of unmarshalling (a short
           // packet would underflow the bit stream). The missing message is
           // then caught by the end-to-end oracle (shortfall or hang).
-          if (cover_ != nullptr) cover_->OnDiscard();
-          if (chaos_ != nullptr) {
-            chaos_->ReportDetection(full_name(), "framing-count",
-                                    "packet closed with " +
-                                        std::to_string(flits.size()) +
-                                        " flits, expected " +
-                                        std::to_string(FlitsPerMessage()));
-          }
+          if (probe_) probe_->OnFraming(Framing::kDiscard, flits.size());
           flits.clear();
           continue;
         }
         BitStream bits = BitStream::FromFlits(flits, kFlitBits);
-        if (cover_ != nullptr) cover_->OnAssembled();
-        if (trace_sink_ != nullptr) trace_sink_->SetContext(parent);
+        if (probe_) probe_->OnFraming(Framing::kAssembled, flits.size());
         out.Push(Marshal<T>::Read(bits));
         flits.clear();
       }
     }
   }
 
-  TraceEventSink* trace_sink_ = nullptr;  // craft-trace; nullptr unless enabled
-  ChaosEngine* chaos_ = nullptr;          // craft-chaos; nullptr unless enabled
-  CoverPacketizerPoint* cover_ = nullptr;  // craft-cover; nullptr unless enabled
+  PacketizerProbe* probe_ = nullptr;  // nullptr unless instrumented
 };
 
 }  // namespace craft::connections

@@ -61,15 +61,12 @@ class PausibleBisyncFifo : public Module {
     sim().design_graph().AddCrossing(DesignGraph::CrossingNode{
         full_name(), &pclk_, &cclk_, pclk_.name(), cclk_.name(), pclk_.period(),
         cclk_.period(), sync_delay_, kDepth});
-    stats_ = sim().stats().RegisterCrossing(full_name(), pclk_.name(), cclk_.name(),
-                                            cclk_.period());
-    trace_ = sim().trace_events().RegisterTrack(
-        full_name(), "crossing", pclk_.name() + "->" + cclk_.name());
-    // craft-chaos pause storms: nullptr unless armed. Each side may hold a
-    // freshly acquired slot for extra local cycles, modeling arbitration
-    // that keeps the domain's clock paused longer than the synchronizer
-    // minimum — more pessimistic, never unsafe (the slot stays owned).
-    chaos_ = sim().chaos().RegisterCrossing(full_name());
+    // Instrumentation probe: nullptr unless stats, trace or a chaos plan
+    // covers this crossing. Chaos pause storms let each side hold a freshly
+    // acquired slot for extra local cycles, modeling arbitration that keeps
+    // the domain's clock paused longer than the synchronizer minimum — more
+    // pessimistic, never unsafe (the slot stays owned).
+    probe_ = sim().probes().RegisterCrossing(full_name(), pclk_, cclk_);
     Thread("enq", pclk_, [this] { RunEnqueue(); });
     Thread("deq", cclk_, [this] { RunDequeue(); });
   }
@@ -128,29 +125,24 @@ class PausibleBisyncFifo : public Module {
         if (!s.full.load(std::memory_order_acquire) &&
             sim().now() >= s.freed.load(std::memory_order_relaxed) + sync_delay_)
           break;
-        if (stats_) ++stats_->enq_sync_wait_cycles;
         last_failed_poll = sim().now();
-        if (trace_) trace_->PushStall();
+        if (probe_) probe_->OnEnqWait();
         wait();
       }
-      if (chaos_ != nullptr) {
+      if (probe_) {
         // The slot is free and stays free (only this side fills it), so
         // holding extra cycles here is indistinguishable from a longer
         // arbitration pause: purely a latency fault.
-        for (unsigned h = chaos_->EnqHoldCycles(); h > 0; --h) wait();
+        for (unsigned h = probe_->EnqHoldCycles(); h > 0; --h) wait();
       }
       Slot& s = ring_[tail % kDepth];
-      if (stats_ && last_failed_poll != kTimeNever &&
-          last_failed_poll >= s.freed.load(std::memory_order_relaxed))
-        ++stats_->enq_pause_events;
+      const bool paused = last_failed_poll != kTimeNever &&
+                          last_failed_poll >= s.freed.load(std::memory_order_relaxed);
       s.value = v;
       s.published.store(sim().now(), std::memory_order_relaxed);
       s.full.store(true, std::memory_order_release);
       ++tail;
-      // Residency slice covers the crossing itself: enqueue here (producer
-      // commit), dequeue when the consumer takes the slot. Ring order is
-      // FIFO order, so the track's span queue stays aligned.
-      if (trace_) trace_->Enqueue();
+      if (probe_) probe_->OnPublish(paused);
     }
   }
 
@@ -171,32 +163,27 @@ class PausibleBisyncFifo : public Module {
             sim().now() >=
                 s.published.load(std::memory_order_relaxed) + sync_delay_)
           break;
-        if (stats_) ++stats_->deq_sync_wait_cycles;
         last_failed_poll = sim().now();
-        if (trace_) trace_->PopStall();
+        if (probe_) probe_->OnDeqWait();
         wait();
       }
-      if (chaos_ != nullptr) {
+      if (probe_) {
         // Symmetric consumer-side storm; the slot stays full until freed
         // below, so the hold only delays when the token crosses.
-        for (unsigned h = chaos_->DeqHoldCycles(); h > 0; --h) wait();
+        for (unsigned h = probe_->DeqHoldCycles(); h > 0; --h) wait();
       }
       Slot& s = ring_[head % kDepth];
       const T v = s.value;
-      const Time latency = sim().now() - s.published.load(std::memory_order_relaxed);
-      if (stats_ && last_failed_poll != kTimeNever &&
-          last_failed_poll >= s.published.load(std::memory_order_relaxed))
-        ++stats_->deq_pause_events;
+      const Time published = s.published.load(std::memory_order_relaxed);
+      const Time latency = sim().now() - published;
+      const bool paused = last_failed_poll != kTimeNever && last_failed_poll >= published;
       total_latency_ += latency;
-      if (stats_) {
-        ++stats_->transfers;
-        stats_->total_latency_ps += latency;
-      }
       s.freed.store(sim().now(), std::memory_order_relaxed);
       s.full.store(false, std::memory_order_release);
       ++head;
       ++transfers_;
-      if (trace_) trace_->Dequeue();  // sets ctx so out.Push extends the span
+      // Sets the span context, so out.Push extends the span.
+      if (probe_) probe_->OnDeliver(latency, paused);
       out.Push(v);
     }
   }
@@ -207,9 +194,7 @@ class PausibleBisyncFifo : public Module {
   std::array<Slot, kDepth> ring_;
   std::uint64_t transfers_ = 0;
   Time total_latency_ = 0;
-  CrossingStats* stats_ = nullptr;    // craft-stats; nullptr unless enabled
-  TraceTrack* trace_ = nullptr;       // craft-trace; nullptr unless enabled
-  ChaosCrossingPoint* chaos_ = nullptr;  // craft-chaos; nullptr unless armed
+  CrossingProbe* probe_ = nullptr;  // nullptr unless instrumented
 };
 
 }  // namespace craft::gals

@@ -5,13 +5,11 @@
 // this engine manufactures adversarial schedules on demand and checks the
 // claim, instead of waiting for one to arise incidentally.
 //
-// Architecture mirrors craft-stats / craft-trace: a ChaosEngine hangs off the
-// Simulator; call `sim.chaos().Enable(plan)` BEFORE elaborating the design.
-// Components register fault points during elaboration under their hierarchical
-// names and keep a raw pointer. When the engine is disabled (the default) —
-// or when the plan schedules nothing for a given site — registration returns
-// nullptr and every injection site reduces to one never-taken branch, the
-// same zero-cost-when-off contract as the stats registry.
+// A ChaosEngine hangs off the Simulator; call `sim.chaos().Enable(plan)`
+// BEFORE elaborating the design. Fault points are registered during
+// elaboration under hierarchical names (channels and crossings through their
+// instrumentation probe, kernel/probe.hpp); registration returns nullptr
+// while disabled or when the plan schedules nothing for the site.
 //
 // Fault taxonomy (DESIGN.md §11):
 //  * latency-only faults — extra channel valid/ready stall cycles, GALS
@@ -250,9 +248,6 @@ class ChaosClockPoint {
 };
 
 /// The fault-injection registry. One per Simulator; disabled by default.
-/// All Register* calls return nullptr while disabled (or when the plan
-/// schedules nothing for the site), which is the zero-cost-when-off
-/// contract injection sites rely on.
 class ChaosEngine {
  public:
   bool enabled() const { return enabled_; }

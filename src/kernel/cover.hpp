@@ -9,12 +9,9 @@
 // counters plus two dedicated instrumentation points, and the result merges
 // across runs into one database CI can gate on (src/cover, DESIGN.md §13).
 //
-// Architecture mirrors craft-stats / craft-chaos / craft-pulse: a
-// CoverRegistry hangs off the Simulator; call `sim.cover().Enable(cfg)`
-// BEFORE elaborating the design. Register* returns nullptr while disabled,
-// so every instrumentation site reduces to one never-taken branch — the same
-// zero-cost-when-off contract as the stats registry (bounded by
-// bench/kernel_microbench).
+// A CoverRegistry hangs off the Simulator; call `sim.cover().Enable()`
+// BEFORE elaborating the design. Sites reach their points through their
+// instrumentation probe (kernel/probe.hpp).
 //
 // Determinism: the occupancy-band and packetizer counters below advance only
 // on successful channel operations / framing events, whose per-site order is
@@ -35,39 +32,16 @@ namespace craft {
 
 class Simulator;
 
-/// Coverage configuration. The occupancy "high" band threshold is the
-/// fraction high_num/high_den of the channel capacity (default 3/4),
-/// matching the backpressure heuristics used by craft-trace blame sampling.
-struct CoverConfig {
-  unsigned high_num = 3;
-  unsigned high_den = 4;
-};
-
 /// Per-channel coverage point: occupancy-band residency. Bands are
 ///   0 empty (occ == 0), 1 low, 2 high (occ >= ceil(cap*3/4)), 3 full.
 /// Each counter counts *entries into* the band, not cycles spent there, so
 /// the numbers are schedule-length independent: they advance only when a
 /// successful enqueue/dequeue moves the occupancy across a band boundary.
 /// The initial empty state is not an entry — `empty` therefore means "the
-/// channel drained back to empty after carrying traffic".
+/// channel drained back to empty after carrying traffic". The channel's
+/// instrumentation probe (kernel/probe.cpp) records the entries.
 class CoverChannelPoint {
  public:
-  void OnOccupancy(std::size_t occ) {
-    unsigned b;
-    if (occ == 0) {
-      b = 0;
-    } else if (occ >= capacity_) {
-      b = 3;
-    } else if (occ >= high_threshold_) {
-      b = 2;
-    } else {
-      b = 1;
-    }
-    if (b == band_) return;
-    band_ = b;
-    ++entries_[b];
-  }
-
   std::uint64_t empty_entries() const { return entries_[0]; }
   std::uint64_t low_entries() const { return entries_[1]; }
   std::uint64_t high_entries() const { return entries_[2]; }
@@ -80,6 +54,7 @@ class CoverChannelPoint {
   std::size_t high_threshold() const { return high_threshold_; }
 
  private:
+  friend class ChannelProbe;
   friend class CoverRegistry;
   std::size_t capacity_ = 1;
   std::size_t high_threshold_ = 1;
@@ -91,32 +66,24 @@ class CoverChannelPoint {
 /// emitted message by flit count; the DePacketizer side counts assembly
 /// outcomes, making the framing-check discard paths observable even when
 /// craft-chaos is disabled (the checks themselves predate coverage but only
-/// reported into the chaos detection log).
+/// reported into the chaos detection log). The (de)packetizer's
+/// instrumentation probe (kernel/probe.cpp) records the counts.
 class CoverPacketizerPoint {
  public:
-  void OnMessage(std::size_t flits) {
-    ++messages_;
-    if (flits > 1) ++multi_flit_;
-    if (flits >= flits_per_message_) ++max_flit_;
-  }
-  void OnAssembled() { ++assembled_; }
-  void OnDiscard() { ++discards_; }        ///< framing-count mismatch
-  void OnOrphan() { ++orphans_; }          ///< mid-packet flit, no open packet
-  void OnHeadResync() { ++head_resyncs_; } ///< head flit mid-assembly
-
   std::uint64_t messages() const { return messages_; }
   std::uint64_t multi_flit() const { return multi_flit_; }
   std::uint64_t max_flit() const { return max_flit_; }
   std::uint64_t assembled() const { return assembled_; }
-  std::uint64_t discards() const { return discards_; }
-  std::uint64_t orphans() const { return orphans_; }
-  std::uint64_t head_resyncs() const { return head_resyncs_; }
+  std::uint64_t discards() const { return discards_; }          ///< framing-count mismatch
+  std::uint64_t orphans() const { return orphans_; }            ///< mid-packet flit, no packet
+  std::uint64_t head_resyncs() const { return head_resyncs_; }  ///< head flit mid-assembly
 
   std::size_t flits_per_message() const { return flits_per_message_; }
   bool is_packetizer() const { return is_packetizer_; }
 
  private:
   friend class CoverRegistry;
+  friend class PacketizerProbe;
   std::size_t flits_per_message_ = 1;
   bool is_packetizer_ = true;
   std::uint64_t messages_ = 0;
@@ -131,16 +98,14 @@ class CoverPacketizerPoint {
 /// The functional-coverage registry. One per Simulator; disabled by default.
 /// Enable() implies stats().Enable() — most channel/crossing bins are
 /// harvested from the stats counters at snapshot time, so coverage without
-/// stats would record nothing. All Register* calls return nullptr while
-/// disabled (the zero-cost-when-off contract instrumentation sites rely on).
+/// stats would record nothing. Register* calls return nullptr while disabled.
 class CoverRegistry {
  public:
   bool enabled() const { return enabled_; }
-  const CoverConfig& config() const { return cfg_; }
 
   /// Arms coverage collection. Must be called before elaborating the
   /// design: components snapshot their coverage point at construction time.
-  void Enable(const CoverConfig& cfg = CoverConfig{});
+  void Enable();
 
   CoverChannelPoint* RegisterChannel(const std::string& name,
                                      std::size_t capacity);
@@ -161,7 +126,6 @@ class CoverRegistry {
   friend class Simulator;
 
   bool enabled_ = false;
-  CoverConfig cfg_;
   Simulator* sim_ = nullptr;
   std::map<std::string, CoverChannelPoint> channels_;
   std::map<std::string, CoverPacketizerPoint> packetizers_;

@@ -43,6 +43,7 @@ Simulator::Simulator()
   chaos_.sim_ = this;
   pulse_.sim_ = this;
   cover_.sim_ = this;
+  probes_.sim_ = this;
 }
 
 Simulator::~Simulator() {

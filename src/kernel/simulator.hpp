@@ -19,6 +19,7 @@
 
 #include "kernel/chaos.hpp"
 #include "kernel/cover.hpp"
+#include "kernel/probe.hpp"
 #include "kernel/pulse.hpp"
 #include "kernel/report.hpp"
 #include "kernel/stats.hpp"
@@ -155,10 +156,15 @@ class Simulator {
   const PulseRegistry& pulse() const { return pulse_; }
 
   /// The craft-cover functional coverage registry (kernel/cover.hpp).
-  /// Disabled by default; call cover().Enable(cfg) before elaboration to
+  /// Disabled by default; call cover().Enable() before elaboration to
   /// derive covergroups from the design and count bin hits (implies stats).
   CoverRegistry& cover() { return cover_; }
   const CoverRegistry& cover() const { return cover_; }
+
+  /// Instrumentation probes (kernel/probe.hpp): each instrumented site
+  /// registers one probe here, which fans its events out to the four
+  /// registries above. Enable those registries first.
+  ProbeRegistry& probes() { return probes_; }
 
   Time now() const {
     const SchedShard* s = tl_sched_shard;
@@ -307,6 +313,7 @@ class Simulator {
   ChaosEngine chaos_;
   PulseRegistry pulse_;
   CoverRegistry cover_;
+  ProbeRegistry probes_;
 
   SchedShard main_shard_;
   std::vector<SchedShard*> group_shards_;  // group id -> owning shard

@@ -4,13 +4,10 @@
 // process burns the wall clock — at the granularity Dai et al. argue is
 // right for LI designs: the channel handshake.
 //
-// Architecture mirrors the DesignGraph: a StatsRegistry hangs off the
-// Simulator; components register counters during elaboration under their
-// design-graph hierarchical names and keep a raw pointer to their slot.
-// When the registry is disabled (the default) registration returns nullptr
-// and every instrumentation site reduces to one never-taken branch, so
-// simulation speed is unchanged (verified by bench/kernel_microbench).
-// Enable with `sim.stats().Enable()` BEFORE elaborating the design.
+// A StatsRegistry hangs off the Simulator; counter slots are registered
+// during elaboration under design-graph hierarchical names, through each
+// site's instrumentation probe (kernel/probe.hpp). Enable with
+// `sim.stats().Enable()` BEFORE elaborating the design.
 //
 // Reporters (stats::FormatTable / stats::FormatJson) dump everything at end
 // of sim; the JSON schema is documented in DESIGN.md §7.
@@ -115,9 +112,8 @@ struct FifoStats {
   std::uint64_t high_water = 0;
 };
 
-/// The telemetry registry. One per Simulator; disabled by default. All
-/// Register* calls return nullptr while disabled, which is the contract
-/// instrumentation sites rely on for the zero-cost-when-off guarantee.
+/// The telemetry registry. One per Simulator; disabled by default, and all
+/// Register* calls return nullptr while disabled.
 class StatsRegistry {
  public:
   bool enabled() const { return enabled_; }

@@ -7,12 +7,10 @@
 // relaying process (packetizer, router, GALS crossing, PE server) therefore
 // extends the same span across channels without any change to message types.
 //
-// Architecture mirrors the StatsRegistry: a TraceEventSink hangs off the
-// Simulator; channels/FIFOs/crossings register a TraceTrack during
-// elaboration and keep a raw pointer. While disabled (the default),
-// RegisterTrack returns nullptr and every instrumentation site is one
-// never-taken branch. Enable with `sim.trace_events().Enable()` BEFORE
-// elaborating the design.
+// A TraceEventSink hangs off the Simulator; channels, FIFOs and crossings
+// register a TraceTrack during elaboration through their instrumentation
+// probe (kernel/probe.hpp). Enable with `sim.trace_events().Enable()`
+// BEFORE elaborating the design.
 //
 // On top of the span slices the sink maintains the raw material for
 // backpressure root-cause attribution (src/trace/blame.cpp): every stall
@@ -179,9 +177,8 @@ class TraceTrack {
   std::map<std::uint64_t, std::uint64_t> blame_empty_;
 };
 
-/// The trace sink. One per Simulator; disabled by default. RegisterTrack
-/// returns nullptr while disabled — the contract instrumentation sites rely
-/// on for the zero-cost-when-off guarantee (bench/kernel_microbench).
+/// The trace sink. One per Simulator; disabled by default, and
+/// RegisterTrack returns nullptr while disabled.
 class TraceEventSink {
  public:
   bool enabled() const { return enabled_; }

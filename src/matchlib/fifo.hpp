@@ -10,9 +10,8 @@
 #include <array>
 #include <cstddef>
 
+#include "kernel/probe.hpp"
 #include "kernel/report.hpp"
-#include "kernel/stats.hpp"
-#include "kernel/trace_events.hpp"
 
 namespace craft::matchlib {
 
@@ -26,22 +25,17 @@ class Fifo {
   std::size_t Size() const { return count_; }
   static constexpr std::size_t Capacity() { return kCapacity; }
 
-  /// Attaches a craft-stats slot (see StatsRegistry::RegisterFifo); the
-  /// owning module calls this at elaboration. nullptr (stats disabled) is
-  /// fine — instrumentation stays a never-taken branch.
-  void AttachStats(FifoStats* s) { stats_ = s; }
-
-  /// Attaches a craft-trace track (see TraceEventSink::RegisterTrack); spans
-  /// of resident elements are recorded as queue-residency slices. nullptr
-  /// (tracing disabled) is fine.
-  void AttachTrace(TraceTrack* t) { trace_ = t; }
+  /// Attaches an instrumentation probe (see ProbeRegistry::RegisterFifo);
+  /// the owning module calls this at elaboration. nullptr (stats and trace
+  /// disabled) is fine — instrumentation stays a never-taken branch.
+  void AttachProbe(FifoProbe* p) { probe_ = p; }
 
   /// Sets the calling thread's trace context to the span of the front
   /// element *without* dequeuing. Owners that forward `Peek()` downstream
   /// before `Pop()` (e.g. routers pushing Peek() over a link) call this so
   /// the downstream channel extends the right span.
   void PrimeTraceContext() {
-    if (trace_ && !Empty()) trace_->PrimeContext();
+    if (probe_ && !Empty()) probe_->PrimeContext();
   }
 
   /// Enqueues; caller must check !Full() first (models hardware contract).
@@ -50,11 +44,7 @@ class Fifo {
     data_[tail_] = v;
     tail_ = (tail_ + 1) % kCapacity;
     ++count_;
-    if (stats_) {
-      ++stats_->pushes;
-      if (count_ > stats_->high_water) stats_->high_water = count_;
-    }
-    if (trace_) trace_->Enqueue();
+    if (probe_) probe_->OnPush(count_);
   }
 
   /// Dequeues; caller must check !Empty() first.
@@ -63,8 +53,7 @@ class Fifo {
     T v = data_[head_];
     head_ = (head_ + 1) % kCapacity;
     --count_;
-    if (stats_) ++stats_->pops;
-    if (trace_) trace_->Dequeue();
+    if (probe_) probe_->OnPop();
     return v;
   }
 
@@ -84,8 +73,7 @@ class Fifo {
   std::size_t head_ = 0;
   std::size_t tail_ = 0;
   std::size_t count_ = 0;
-  FifoStats* stats_ = nullptr;
-  TraceTrack* trace_ = nullptr;
+  FifoProbe* probe_ = nullptr;
 };
 
 }  // namespace craft::matchlib

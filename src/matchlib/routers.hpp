@@ -158,18 +158,15 @@ class WHVCRouter : public Module {
       }
     }
     for (unsigned o = 0; o < kPorts; ++o) arbiters_.emplace_back(kPorts * kVCs);
-    // craft-stats: one FifoStats slot per (port, vc) input queue, named after
-    // the router's hierarchical name. AttachStats(nullptr) is a no-op.
-    // craft-trace mirrors the same per-(port, vc) granularity so a flit's
+    // One probe per (port, vc) input queue, named after the router's
+    // hierarchical name: stats counters and a trace track, so a flit's
     // residency in each hop's VC queue shows up as its own slice.
     for (unsigned p = 0; p < kPorts; ++p) {
       for (unsigned v = 0; v < kVCs; ++v) {
         const std::string vc_name =
             full_name() + ".vc" + std::to_string(p) + "_" + std::to_string(v);
-        vcs_[VcIndex(p, v)].fifo.AttachStats(
-            sim().stats().RegisterFifo(vc_name, kVcFifoDepth));
-        vcs_[VcIndex(p, v)].fifo.AttachTrace(
-            sim().trace_events().RegisterTrack(vc_name, "vc_fifo", clk.name()));
+        vcs_[VcIndex(p, v)].fifo.AttachProbe(
+            sim().probes().RegisterFifo(vc_name, kVcFifoDepth, clk.name()));
       }
     }
     Thread("run", clk, [this] { Run(); });

@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 #include <string>
 
 #include "connections/connections.hpp"
 #include "connections/packetizer.hpp"
+#include "cover/cover.hpp"
 #include "gals/gals.hpp"
 #include "kernel/kernel.hpp"
 #include "matchlib/fifo.hpp"
@@ -142,6 +144,130 @@ TEST_P(StatsModeTest, BlockingStallCyclesCounted) {
   EXPECT_GT(FindChannel(sim, "top.empty_ch").empty_stall_cycles, 10u);
 }
 
+// One channel driven through a fixed schedule whose every outcome is the
+// same in both Connections models: polls of an empty channel, a blocking
+// Pop that starts one cycle before the producer's Push, blocking and polling
+// transfers into free space, polls of a full channel, and drains of resident
+// data. A signal-accurate port operation takes a cycle, so every step
+// starts at a fixed cycle well after the previous one has finished.
+// Combinational has no storage, so its tokens only ever meet a waiting Pop.
+class ProbeBench : public Module {
+ public:
+  ProbeBench(Module& parent, const std::string& name, Clock& clk, ChannelKind kind)
+      : Module(parent, name),
+        ch_(*this, "ch", clk, kind, kind == ChannelKind::kBuffer ? 2 : 1) {
+    const bool comb = kind == ChannelKind::kCombinational;
+    const unsigned fill = comb ? 0 : (kind == ChannelKind::kBuffer ? 2 : 1);
+    Thread("cons", clk, [this, comb, fill] {
+      int v = 0;
+      At(10);
+      for (int i = 0; i < 3; ++i, wait()) ch_.PopNB(v);  // 3 rejects
+      At(19);
+      ch_.Pop();  // starves until the push at cycle 20
+      if (comb) {
+        At(29);
+        ch_.Pop();
+      }
+      for (unsigned i = 0; i < fill; ++i) {  // drain, polling the last one
+        At(60 + 10 * i);
+        if (i + 1 < fill) {
+          ch_.Pop();
+        } else {
+          EXPECT_TRUE(ch_.PopNB(v));
+        }
+      }
+      At(90);
+      ch_.PopNB(v);  // empty again: 1 reject
+    });
+    Thread("prod", clk, [this, comb, fill] {
+      At(20);
+      ch_.Push(0);
+      if (comb) {
+        At(30);
+        ch_.Push(1);
+        return;
+      }
+      for (unsigned i = 0; i < fill; ++i) {  // fill, polling the first one
+        At(30 + 10 * i);
+        if (i == 0) {
+          EXPECT_TRUE(ch_.PushNB(1));
+        } else {
+          ch_.Push(2);
+        }
+      }
+      At(50);
+      for (int i = 0; i < 3; ++i, wait()) ch_.PushNB(3);  // full: 3 rejects
+    });
+  }
+
+ private:
+  void At(std::uint64_t cycle) {
+    ASSERT_LT(this_cycle(), cycle) << "schedule step overran";
+    wait(static_cast<unsigned>(cycle - this_cycle()));
+  }
+
+  Channel<int> ch_;
+};
+
+// Everything the probe reports for ProbeBench on every channel kind: stats
+// counters, trace slices and stall samples, and the cover bins derived from
+// them, one line per channel.
+std::string ProbeReport(SimMode mode) {
+  Simulator sim;
+  sim.set_mode(mode);
+  sim.stats().Enable();
+  sim.trace_events().Enable();
+  sim.cover().Enable();
+  Clock clk(sim, "clk", 1_ns);
+  Module top(sim, "top");
+  std::vector<std::unique_ptr<ProbeBench>> benches;
+  for (ChannelKind k : {ChannelKind::kCombinational, ChannelKind::kBypass,
+                        ChannelKind::kPipeline, ChannelKind::kBuffer}) {
+    benches.push_back(std::make_unique<ProbeBench>(top, connections::ToString(k), clk, k));
+  }
+  sim.Run(200_ns);
+  cover::Database db;
+  cover::RunInfo run;
+  run.id = "run";
+  cover::Collect(sim, run, &db);
+  std::ostringstream os;
+  for (const auto& [name, s] : sim.stats().channels()) {
+    const TraceTrack* t = sim.trace_events().FindTrack(name);
+    const cover::Group& g = db.groups.at(cover::GroupKey("channel", name));
+    os << name << " enq=" << s.enqueues << " deq=" << s.dequeues
+       << " push_rej=" << s.push_rejects << " pop_rej=" << s.pop_rejects
+       << " full_stall=" << s.full_stall_cycles << " empty_stall=" << s.empty_stall_cycles
+       << " | begins=" << t->begins() << " ends=" << t->ends()
+       << " full_samples=" << t->full_stall_samples()
+       << " empty_samples=" << t->empty_stall_samples() << " |";
+    for (const char* bin :
+         {"active", "nb_reject_push", "nb_reject_pop", "bp_stall", "starve_stall"}) {
+      os << " " << bin << "=" << g.BinTotal(bin);
+    }
+    os << "\n";
+  }
+  return os.str();
+}
+
+// Both models feed the same probe events, so they report the same
+// handshakes the same way. Non-blocking rejects are rejects only (never
+// stall cycles, never starvation samples); blocking stalls are stalls.
+TEST_P(StatsModeTest, ProbeReportsSameEventsInBothModels) {
+  EXPECT_EQ(ProbeReport(GetParam()),
+            "top.Buffer.ch enq=3 deq=3 push_rej=3 pop_rej=4 full_stall=0 empty_stall=2"
+            " | begins=3 ends=3 full_samples=3 empty_samples=2 |"
+            " active=3 nb_reject_push=1 nb_reject_pop=1 bp_stall=0 starve_stall=1\n"
+            "top.Bypass.ch enq=2 deq=2 push_rej=3 pop_rej=4 full_stall=0 empty_stall=1"
+            " | begins=2 ends=2 full_samples=3 empty_samples=1 |"
+            " active=2 nb_reject_push=1 nb_reject_pop=1 bp_stall=0 starve_stall=1\n"
+            "top.Combinational.ch enq=2 deq=2 push_rej=0 pop_rej=4 full_stall=0 empty_stall=2"
+            " | begins=2 ends=2 full_samples=0 empty_samples=2 |"
+            " active=2 nb_reject_push=0 nb_reject_pop=1 bp_stall=0 starve_stall=1\n"
+            "top.Pipeline.ch enq=2 deq=2 push_rej=3 pop_rej=4 full_stall=0 empty_stall=2"
+            " | begins=2 ends=2 full_samples=3 empty_samples=2 |"
+            " active=2 nb_reject_push=1 nb_reject_pop=1 bp_stall=0 starve_stall=1\n");
+}
+
 INSTANTIATE_TEST_SUITE_P(BothModels, StatsModeTest,
                          ::testing::Values(SimMode::kSimAccurate,
                                            SimMode::kSignalAccurate),
@@ -167,6 +293,85 @@ TEST(Stats, CombinationalRendezvousHasZeroLatency) {
   EXPECT_EQ(s.latency.count, 20u);
   EXPECT_EQ(s.latency.max, 0u);  // same-timestep rendezvous
   EXPECT_EQ(s.latency.buckets[0], 20u);
+}
+
+// ---------- instrumentation probe contract ----------
+
+// Every registry off: no site gets a probe. Any one registry on: the site
+// gets a probe, and it records into that registry.
+TEST(Probe, RegisteredOnlyWhenSomeRegistryIsOn) {
+  {
+    Simulator sim;
+    Clock clk(sim, "clk", 1_ns);
+    EXPECT_EQ(sim.probes().RegisterChannel("ch", "Buffer", 2, clk, false), nullptr);
+    EXPECT_EQ(sim.probes().RegisterCrossing("x", clk, clk), nullptr);
+    EXPECT_EQ(sim.probes().RegisterFifo("f", 4, "clk"), nullptr);
+    EXPECT_EQ(sim.probes().RegisterPacketizer("pk", 2, true), nullptr);
+    EXPECT_EQ(sim.probes().RegisterPacketizer("dpk", 2, false), nullptr);
+  }
+  {
+    Simulator sim;
+    sim.stats().Enable();
+    Clock clk(sim, "clk", 1_ns);
+    ChannelProbe* p = sim.probes().RegisterChannel("ch", "Buffer", 2, clk, false);
+    ASSERT_NE(p, nullptr);
+    p->OnEnqueue(1);
+    p->OnPushStall();
+    p->OnPopReject();
+    const ChannelStats& s = sim.stats().channels().at("ch");
+    EXPECT_EQ(s.enqueues, 1u);
+    EXPECT_EQ(s.full_stall_cycles, 1u);
+    EXPECT_EQ(s.pop_rejects, 1u);
+    CrossingProbe* x = sim.probes().RegisterCrossing("x", clk, clk);
+    ASSERT_NE(x, nullptr);
+    x->OnDeliver(1000, /*paused=*/true);
+    EXPECT_EQ(sim.stats().crossings().at("x").transfers, 1u);
+    EXPECT_EQ(sim.stats().crossings().at("x").deq_pause_events, 1u);
+  }
+  {
+    Simulator sim;
+    sim.trace_events().Enable();
+    Clock clk(sim, "clk", 1_ns);
+    ChannelProbe* p = sim.probes().RegisterChannel("ch", "Buffer", 2, clk, false);
+    ASSERT_NE(p, nullptr);
+    p->OnEnqueue(1);
+    p->OnPushReject();
+    const TraceTrack* t = sim.trace_events().FindTrack("ch");
+    EXPECT_EQ(t->begins(), 1u);
+    EXPECT_EQ(t->full_stall_samples(), 1u);
+    FifoProbe* f = sim.probes().RegisterFifo("f", 4, "clk");
+    ASSERT_NE(f, nullptr);
+    f->OnPush(1);
+    EXPECT_EQ(sim.trace_events().FindTrack("f")->begins(), 1u);
+    EXPECT_NE(sim.probes().RegisterPacketizer("pk", 2, true), nullptr);
+  }
+  {
+    Simulator sim;
+    FaultPlan plan;
+    plan.channel_valid_stall_prob = 1.0;
+    sim.chaos().Enable(plan);
+    Clock clk(sim, "clk", 1_ns);
+    ChannelProbe* p = sim.probes().RegisterChannel("ch", "Buffer", 2, clk, false);
+    ASSERT_NE(p, nullptr);
+    EXPECT_TRUE(p->ValidStalled(0));
+    EXPECT_EQ(sim.chaos().channel_points().at("ch").stall_events(), 1u);
+    // A packetizer runs no framing checks, so chaos alone gives it no probe.
+    EXPECT_EQ(sim.probes().RegisterPacketizer("pk", 2, true), nullptr);
+    EXPECT_NE(sim.probes().RegisterPacketizer("dpk", 2, false), nullptr);
+  }
+  {
+    Simulator sim;
+    sim.cover().Enable();
+    Clock clk(sim, "clk", 1_ns);
+    ChannelProbe* p = sim.probes().RegisterChannel("ch", "Buffer", 2, clk, false);
+    ASSERT_NE(p, nullptr);
+    p->OnEnqueue(2);
+    EXPECT_EQ(sim.cover().channel_points().at("ch").full_entries(), 1u);
+    PacketizerProbe* pk = sim.probes().RegisterPacketizer("pk", 2, true);
+    ASSERT_NE(pk, nullptr);
+    pk->OnMessage(2);
+    EXPECT_EQ(sim.cover().packetizer_points().at("pk").max_flit(), 1u);
+  }
 }
 
 // ---------- kernel process profiling ----------
@@ -232,7 +437,7 @@ TEST(Stats, FifoHighWaterTracksDepth) {
   Simulator sim;
   sim.stats().Enable();
   matchlib::Fifo<int, 8> fifo;
-  fifo.AttachStats(sim.stats().RegisterFifo("top.router.vc0_0", 8));
+  fifo.AttachProbe(sim.probes().RegisterFifo("top.router.vc0_0", 8, "clk"));
   for (int i = 0; i < 5; ++i) fifo.Push(i);
   fifo.Pop();
   fifo.Pop();
