@@ -7,9 +7,16 @@
 // per-cycle signal-evaluation load of a netlist simulator and (b) the
 // pipeline-drain latencies HLS inserts (the cycle-error source the paper
 // identifies: "unit pipeline latencies not included in the SystemC models").
+//
+// Besides the table, writes BENCH_fig6_perf_accuracy.json (craft-bench-v1):
+// per test the fast and RTL cycles, walls and speedup, and the worst
+// |cycle error| over all tests.
 #include <chrono>
 #include <cstdio>
+#include <thread>
+#include <vector>
 
+#include "bench_json.hpp"
 #include "soc/workloads.hpp"
 
 namespace craft::soc {
@@ -43,11 +50,13 @@ Measurement Measure(const Workload& w, bool rtl_cosim) {
 
 int main() {
   using namespace craft::soc;
+  namespace bj = craft::bench;
   std::printf("Figure 6: performance accuracy of SoC-level tests\n");
   std::printf("(paper: 20-30x wall-clock speedup at < 3%% elapsed-cycle error)\n\n");
   std::printf("%-10s %12s %12s %12s %12s %10s\n", "test", "fast cycles", "rtl cycles",
               "fast wall s", "rtl wall s", "speedup");
   double worst_err = 0.0, min_speedup = 1e9, max_speedup = 0.0;
+  std::vector<bj::Metric> metrics{bj::Num("hw_threads", std::thread::hardware_concurrency())};
   for (const Workload& w : SixSocTests()) {
     const Measurement fast = Measure(w, /*rtl_cosim=*/false);
     const Measurement rtl = Measure(w, /*rtl_cosim=*/true);
@@ -62,8 +71,15 @@ int main() {
     worst_err = std::max(worst_err, std::abs(err));
     min_speedup = std::min(min_speedup, speedup);
     max_speedup = std::max(max_speedup, speedup);
+    metrics.push_back(bj::Num(w.name + ".fast_cycles", fast.cycles));
+    metrics.push_back(bj::Num(w.name + ".rtl_cycles", rtl.cycles));
+    metrics.push_back(bj::Num(w.name + ".fast_wall_s", fast.wall_seconds));
+    metrics.push_back(bj::Num(w.name + ".rtl_wall_s", rtl.wall_seconds));
+    metrics.push_back(bj::Num(w.name + ".speedup", speedup));
   }
   std::printf("\nspeedup range: %.1fx .. %.1fx   worst |cycle error|: %.2f%%\n",
               min_speedup, max_speedup, worst_err);
+  metrics.push_back(bj::Num("worst_cycle_err_pct", worst_err));
+  bj::EmitJson("fig6_perf_accuracy", metrics);
   return 0;
 }

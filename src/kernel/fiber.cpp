@@ -1,9 +1,14 @@
 #include "kernel/fiber.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <new>
+
 #include "kernel/report.hpp"
 
 // AddressSanitizer needs to be told about every stack switch: it shadows
-// each call stack with a "fake stack", and a swapcontext it does not know
+// each call stack with a "fake stack", and a stack switch it does not know
 // about leaves it validating fiber frames against the main stack's shadow
 // (false positives, or worse, silently unpoisoned memory). The protocol is
 // __sanitizer_start_switch_fiber immediately before the switch and
@@ -17,6 +22,7 @@
 #endif
 
 #if defined(CRAFT_ASAN_FIBERS)
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 
@@ -43,13 +49,58 @@ void __tsan_switch_to_fiber(void* fiber, unsigned flags);
 }
 #endif
 
+#if defined(__x86_64__)
+// craft_fiber_switch(save_sp, load_sp): pushes the SysV callee-saved
+// registers (rbp, rbx, r12-r15) and the callee-saved floating-point control
+// state (MXCSR, x87 control word) onto the running stack, stores the stack
+// pointer to *save_sp, loads load_sp and pops the same frame from it. The
+// `ret` then continues wherever that stack last called craft_fiber_switch,
+// or, for a fresh fiber, enters Trampoline (see Fiber::Prepare). Everything
+// else is caller-saved, so the compiler already spills it around the call.
+// Unlike swapcontext there is no signal-mask syscall: a fiber switch is
+// about twenty instructions.
+extern "C" void craft_fiber_switch(void** save_sp, void* load_sp);
+
+asm(R"(
+  .pushsection .text
+  .p2align 4
+  .globl craft_fiber_switch
+  .hidden craft_fiber_switch
+  .type craft_fiber_switch, @function
+craft_fiber_switch:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $8, %rsp
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size craft_fiber_switch, .-craft_fiber_switch
+  .popsection
+)");
+#endif
+
 namespace craft {
 
 namespace {
 thread_local Fiber* tl_current_fiber = nullptr;
 
 // TLS accessors, deliberately opaque to the optimizer. Code before and
-// after a swapcontext may execute on different OS threads (a fiber last
+// after a stack switch may execute on different OS threads (a fiber last
 // suspended on a craft-par worker is cancel-unwound from the main thread
 // in ~Simulator, after the workers have been joined); an inlined TLS access
 // whose address was computed before the switch would then write through a
@@ -64,11 +115,30 @@ __attribute__((noinline)) Fiber* GetCurrentFiber() {
   asm volatile("" ::: "memory");
   return tl_current_fiber;
 }
+
+std::size_t GuardBytes() {
+  static const std::size_t page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  return page;
+}
 }  // namespace
 
-Fiber::Fiber(Fn body, std::size_t stack_bytes)
-    : stack_(stack_bytes), body_(std::move(body)) {
+Fiber::Fiber(Fn body) : body_(std::move(body)) {
   CRAFT_ASSERT(body_ != nullptr, "fiber body must be callable");
+  // MAP_NORESERVE and no pre-touching: a fiber costs only the pages its
+  // frames actually reach. The lowest page is the guard.
+  void* mapping = mmap(nullptr, GuardBytes() + kStackBytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (mapping == MAP_FAILED) throw std::bad_alloc();
+  if (mprotect(mapping, GuardBytes(), PROT_NONE) != 0) {
+    munmap(mapping, GuardBytes() + kStackBytes);
+    throw std::bad_alloc();
+  }
+  stack_lo_ = static_cast<std::uint8_t*>(mapping) + GuardBytes();
+#if defined(CRAFT_ASAN_FIBERS)
+  // The kernel may hand back addresses of an earlier, unmapped fiber stack
+  // whose shadow still holds that stack's redzones.
+  ASAN_UNPOISON_MEMORY_REGION(stack_lo_, kStackBytes);
+#endif
 }
 
 Fiber::~Fiber() {
@@ -87,9 +157,48 @@ Fiber::~Fiber() {
 #if defined(CRAFT_TSAN_FIBERS)
   if (tsan_fiber_ != nullptr) __tsan_destroy_fiber(tsan_fiber_);
 #endif
+  munmap(stack_lo_ - GuardBytes(), GuardBytes() + kStackBytes);
 }
 
 Fiber* Fiber::Current() { return GetCurrentFiber(); }
+
+#if defined(__x86_64__)
+void Fiber::Prepare() {
+  // The frame craft_fiber_switch pops, highest address first: a zero return
+  // address for Trampoline (unwinders and backtraces stop there), the
+  // address the switch's `ret` jumps to, rbp = 0 (end of the frame-pointer
+  // chain), rbx and r12-r15, then the control words. The fiber inherits the
+  // resumer's MXCSR and x87 control word, as a getcontext() would. The
+  // stack top is 16-byte aligned, so Trampoline starts with rsp = 8 (mod 16),
+  // exactly as if it had been called.
+  auto* top = reinterpret_cast<std::uint64_t*>(stack_lo_ + kStackBytes);
+  std::uint32_t mxcsr = 0;
+  std::uint16_t fpucw = 0;
+  asm volatile("stmxcsr %0" : "=m"(mxcsr));
+  asm volatile("fnstcw %0" : "=m"(fpucw));
+  top[-1] = 0;
+  top[-2] = reinterpret_cast<std::uint64_t>(&Fiber::Trampoline);
+  for (int reg = 3; reg <= 8; ++reg) top[-reg] = 0;
+  top[-9] = mxcsr | (static_cast<std::uint64_t>(fpucw) << 32);
+  fiber_sp_ = &top[-9];
+}
+
+void Fiber::SwitchIn() { craft_fiber_switch(&host_sp_, fiber_sp_); }
+
+void Fiber::SwitchOut() { craft_fiber_switch(&fiber_sp_, host_sp_); }
+#else
+void Fiber::Prepare() {
+  getcontext(&ctx_);
+  ctx_.uc_stack.ss_sp = stack_lo_;
+  ctx_.uc_stack.ss_size = kStackBytes;
+  ctx_.uc_link = nullptr;
+  makecontext(&ctx_, &Fiber::Trampoline, 0);
+}
+
+void Fiber::SwitchIn() { swapcontext(&link_, &ctx_); }
+
+void Fiber::SwitchOut() { swapcontext(&ctx_, &link_); }
+#endif
 
 void Fiber::Trampoline() {
   Fiber* self = GetCurrentFiber();
@@ -107,8 +216,8 @@ void Fiber::Trampoline() {
     self->pending_exception_ = std::current_exception();
   }
   self->done_ = true;
-  // Return to the resume() call. swapcontext (not uc_link) keeps the flow
-  // explicit and lets resume() observe done_.
+  // Return to the resume() call, which observes done_. Trampoline never
+  // returns: there is no caller frame to return to.
 #if defined(CRAFT_ASAN_FIBERS)
   // Final exit: null fake-stack-save tells ASan to destroy this fiber's
   // fake stack instead of preserving it for a return that never comes.
@@ -118,7 +227,7 @@ void Fiber::Trampoline() {
 #if defined(CRAFT_TSAN_FIBERS)
   __tsan_switch_to_fiber(self->tsan_host_, 0);
 #endif
-  swapcontext(&self->ctx_, &self->link_);
+  self->SwitchOut();
 }
 
 void Fiber::resume() {
@@ -126,22 +235,18 @@ void Fiber::resume() {
   CRAFT_ASSERT(!done_, "resume() on a finished fiber");
   if (!started_) {
     started_ = true;
-    getcontext(&ctx_);
-    ctx_.uc_stack.ss_sp = stack_.data();
-    ctx_.uc_stack.ss_size = stack_.size();
-    ctx_.uc_link = nullptr;
-    makecontext(&ctx_, &Fiber::Trampoline, 0);
+    Prepare();
   }
   SetCurrentFiber(this);
 #if defined(CRAFT_ASAN_FIBERS)
-  __sanitizer_start_switch_fiber(&asan_main_fss_, stack_.data(), stack_.size());
+  __sanitizer_start_switch_fiber(&asan_main_fss_, stack_lo_, kStackBytes);
 #endif
 #if defined(CRAFT_TSAN_FIBERS)
   if (tsan_fiber_ == nullptr) tsan_fiber_ = __tsan_create_fiber(0);
   tsan_host_ = __tsan_get_current_fiber();
   __tsan_switch_to_fiber(tsan_fiber_, 0);
 #endif
-  swapcontext(&link_, &ctx_);
+  SwitchIn();
 #if defined(CRAFT_ASAN_FIBERS)
   // Back on the main stack, arriving from Suspend() or the Trampoline exit.
   __sanitizer_finish_switch_fiber(asan_main_fss_, nullptr, nullptr);
@@ -165,7 +270,7 @@ void Fiber::Suspend() {
 #if defined(CRAFT_TSAN_FIBERS)
   __tsan_switch_to_fiber(self->tsan_host_, 0);
 #endif
-  swapcontext(&self->ctx_, &self->link_);
+  self->SwitchOut();
 #if defined(CRAFT_ASAN_FIBERS)
   // Resumed: restore this fiber's fake stack and refresh the main-context
   // bounds (resume() may be called from a different frame each time).

@@ -1,19 +1,24 @@
-// Cooperative fibers (stackful coroutines) built on ucontext.
+// Cooperative fibers (stackful coroutines).
 //
 // Thread processes in the kernel (the analogue of SC_THREAD) need to block
 // mid-function on wait()/Pop()/Push(). Each thread process runs on its own
 // Fiber; the scheduler resumes fibers one at a time on the main context, so
 // the whole simulation is single-threaded and fully deterministic.
+//
+// On x86-64 a switch saves only the callee-saved registers, MXCSR and the
+// x87 control word, then swaps stack pointers (fiber.cpp). Other targets
+// fall back to ucontext, whose swapcontext also saves the signal mask with
+// a syscall per switch.
 #pragma once
 
+#if !defined(__x86_64__)
 #include <ucontext.h>
+#endif
 
 #include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
-#include <vector>
 
 namespace craft {
 
@@ -31,9 +36,12 @@ class Fiber {
  public:
   using Fn = std::function<void()>;
 
-  static constexpr std::size_t kDefaultStackBytes = 128 * 1024;
+  /// Usable stack per fiber. The stack is mapped lazily (pages are touched
+  /// only as the fiber's frames reach them) above one inaccessible guard
+  /// page, so an overflow faults instead of corrupting neighbouring memory.
+  static constexpr std::size_t kStackBytes = 128 * 1024;
 
-  explicit Fiber(Fn body, std::size_t stack_bytes = kDefaultStackBytes);
+  explicit Fiber(Fn body);
   ~Fiber();
 
   Fiber(const Fiber&) = delete;
@@ -55,9 +63,21 @@ class Fiber {
  private:
   static void Trampoline();
 
+  /// Lays out the context the first SwitchIn() starts Trampoline from.
+  void Prepare();
+  /// Saves the running context and switches to the other side: resume()
+  /// switches into the fiber, Suspend() and the Trampoline exit switch out.
+  void SwitchIn();
+  void SwitchOut();
+
+#if defined(__x86_64__)
+  void* fiber_sp_ = nullptr;  ///< the fiber's saved stack pointer
+  void* host_sp_ = nullptr;   ///< the resumer's saved stack pointer
+#else
   ucontext_t ctx_{};
   ucontext_t link_{};
-  std::vector<std::uint8_t> stack_;
+#endif
+  std::uint8_t* stack_lo_ = nullptr;  ///< lowest usable address, just above the guard page
   Fn body_;
   bool started_ = false;
   bool done_ = false;
@@ -66,7 +86,7 @@ class Fiber {
 
   // AddressSanitizer fiber-switch bookkeeping (see fiber.cpp; unused and
   // harmless in non-sanitized builds). ASan tracks a fake stack per call
-  // stack — every swapcontext must be bracketed by
+  // stack — every stack switch must be bracketed by
   // __sanitizer_{start,finish}_switch_fiber or ASan poisons the wrong stack.
   void* asan_main_fss_ = nullptr;        ///< main context's fake stack, saved on entry
   void* asan_fiber_fss_ = nullptr;       ///< fiber's fake stack, saved on suspend

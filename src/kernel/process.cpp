@@ -24,10 +24,15 @@ ThreadProcess* ThreadProcess::Current() { return tl_current_thread; }
 
 void ThreadProcess::Dispatch() {
   if (fiber_.done()) return;
-  ThreadProcess* prev = tl_current_thread;
+  // Restored on every exit, including a body exception rethrown by
+  // resume(): a caller that catches it and keeps simulating (or destroys
+  // the simulator) must not see this process as current.
+  struct Restore {
+    ThreadProcess* prev;
+    ~Restore() { tl_current_thread = prev; }
+  } restore{tl_current_thread};
   tl_current_thread = this;
   fiber_.resume();
-  tl_current_thread = prev;
 }
 
 void ThreadProcess::Suspend() {

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cfenv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "kernel/kernel.hpp"
@@ -55,6 +59,106 @@ TEST(Fiber, CurrentTracksExecution) {
   f.resume();
   EXPECT_EQ(seen, &f);
   EXPECT_EQ(Fiber::Current(), nullptr);
+}
+
+TEST(Fiber, DestroyingSuspendedFiberUnwindsItsLocals) {
+  struct Guard {
+    bool* destroyed;
+    ~Guard() { *destroyed = true; }
+  };
+  bool destroyed = false;
+  bool resumed_after_suspend = false;
+  {
+    Fiber f([&] {
+      Guard g{&destroyed};
+      Fiber::Suspend();
+      resumed_after_suspend = true;
+    });
+    f.resume();
+    EXPECT_FALSE(destroyed);
+  }
+  EXPECT_TRUE(destroyed);
+  EXPECT_FALSE(resumed_after_suspend);
+}
+
+TEST(Fiber, MigratesBetweenOsThreads) {
+  Fiber* inside_first = nullptr;
+  Fiber* inside_second = nullptr;
+  Fiber f([&] {
+    inside_first = Fiber::Current();
+    Fiber::Suspend();
+    inside_second = Fiber::Current();
+  });
+  Fiber* after_first = &f;
+  Fiber* after_second = &f;
+  std::thread([&] {
+    f.resume();
+    after_first = Fiber::Current();
+  }).join();
+  EXPECT_FALSE(f.done());
+  std::thread([&] {
+    f.resume();
+    after_second = Fiber::Current();
+  }).join();
+  EXPECT_TRUE(f.done());
+  EXPECT_EQ(inside_first, &f);
+  EXPECT_EQ(inside_second, &f);
+  EXPECT_EQ(after_first, nullptr);
+  EXPECT_EQ(after_second, nullptr);
+  EXPECT_EQ(Fiber::Current(), nullptr);
+}
+
+// Rounding mode lives in the x87 control word and MXCSR, both callee-saved:
+// a fiber keeps its own across a suspend, and the resumer never sees it.
+TEST(Fiber, FloatingPointControlStateIsPerFiber) {
+  // 1/3 rounds down to nearest and up under FE_UPWARD; volatile keeps the
+  // division at run time, under whatever MXCSR is live.
+  volatile double one = 1.0, three = 3.0;
+  const double nearest = one / three;
+  const int outer = std::fegetround();
+  int inside_after_resume = -1;
+  double sse_after_resume = 0.0;
+  Fiber f([&] {
+    std::fesetround(FE_UPWARD);
+    Fiber::Suspend();
+    inside_after_resume = std::fegetround();
+    sse_after_resume = one / three;
+  });
+  f.resume();
+  EXPECT_EQ(std::fegetround(), outer);
+  EXPECT_EQ(one / three, nearest);
+  f.resume();
+  EXPECT_EQ(inside_after_resume, FE_UPWARD);
+  EXPECT_GT(sse_after_resume, nearest);
+  EXPECT_EQ(std::fegetround(), outer);
+  EXPECT_EQ(one / three, nearest);
+}
+
+// Recurses until `bytes` of stack below `base` are in use. The write after
+// the call keeps it from being a tail call, so every level keeps its frame.
+__attribute__((noinline)) void UseStack(std::uintptr_t base, std::size_t bytes) {
+  volatile char frame[256];
+  frame[0] = 1;
+  if (base - reinterpret_cast<std::uintptr_t>(&frame[0]) < bytes) UseStack(base, bytes);
+  frame[1] = frame[0];
+}
+
+// Overflowing by 16 KiB must fault, not scribble on whatever memory lies
+// below the stack and carry on. The second fiber is there to be that memory:
+// a stack allocated without a guard page would typically sit just above it.
+TEST(FiberDeathTest, StackOverflowFaultsOnGuardPage) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Fiber overflowing([] {
+          char top = 0;
+          UseStack(reinterpret_cast<std::uintptr_t>(&top), Fiber::kStackBytes + 16 * 1024);
+        });
+        Fiber below([] {});
+        overflowing.resume();
+        std::_Exit(0);
+      },
+      "");
 }
 
 TEST(Simulator, TimeAdvancesToRunBound) {
@@ -167,6 +271,25 @@ TEST(Thread, WaitNSkipsNCycles) {
   } b(top, clk, end_cycle);
   sim.Run(20_ns);
   EXPECT_EQ(end_cycle, 7u);
+}
+
+TEST(Thread, ThrowingBodyLeavesNoCurrentThread) {
+  {
+    Simulator sim;
+    Clock clk(sim, "clk", 1_ns);
+    Module top(sim, "top");
+    struct Thrower : Module {
+      Thrower(Module& p, Clock& clk) : Module(p, "thrower") {
+        Thread("t", clk, [] {
+          wait();
+          throw std::runtime_error("body failed");
+        });
+      }
+    } thrower(top, clk);
+    EXPECT_THROW(sim.Run(10_ns), std::runtime_error);
+    EXPECT_EQ(ThreadProcess::Current(), nullptr);
+  }
+  EXPECT_EQ(ThreadProcess::Current(), nullptr);
 }
 
 TEST(Signal, WriteVisibleOnlyAfterUpdatePhase) {
