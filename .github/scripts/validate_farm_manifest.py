@@ -6,7 +6,7 @@ Usage: validate_farm_manifest.py FARM_MANIFEST.json
 Checks the schema shape, that the trial list matches the declared matrix,
 that the summary tallies agree with the per-trial records, and that the
 run is not gated (any unwaived failure fails this script, mirroring
-craft_farm's own exit code).
+craft farm's own exit code).
 """
 import json
 import sys

@@ -5,127 +5,13 @@
 #include <algorithm>
 #include <sstream>
 
-#include "connections/connections.hpp"
-#include "connections/packetizer.hpp"
-#include "connections/retimer.hpp"
-#include "gals/async_channel.hpp"
 #include "kernel/kernel.hpp"
-#include "kernel/report.hpp"
 #include "lint/ref_designs.hpp"
-#include "soc/workloads.hpp"
 #include "trace/trace.hpp"
 
 namespace craft::chaos {
 
-using namespace craft::literals;
-
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-std::uint64_t Mix(std::uint64_t h, std::uint64_t v) { return (h ^ v) * kFnvPrime; }
-
-/// The value the harness sends at position i: position-dependent with bits
-/// spread over the whole word, so any flip, loss or reordering shows up in
-/// both the payload oracle and the stream digest.
-std::uint32_t Payload(unsigned i) {
-  return (static_cast<std::uint32_t>(i) * 0x9E3779B9u) ^ 0xC3A5C85Cu;
-}
-
-/// The LI pipeline harness: every fault-hosting component in one bounded
-/// design. Source and sink know the full expected stream, so the sink is
-/// itself a detection site (payload oracle).
-///
-///   src -> src_q -> Retimer<2> -> rt_q -> Packetizer<u32,16> -> link(Flit)
-///       -> DePacketizer -> AsyncChannel (1000ps -> 1300ps) -> snk
-///
-/// 16-bit flits give 2 flits per message, so the depacketizer's framing
-/// checks see structure worth checking, and every payload bit of a flit
-/// lands in the reassembled message (no silently-ignored flip targets).
-struct LiHarness {
-  static constexpr const char* kLinkChannel = "li.link";
-  static constexpr unsigned kFlitBits = 16;
-
-  struct Source : Module {
-    connections::Out<std::uint32_t> out;
-    Source(Module& parent, Clock& clk, unsigned n) : Module(parent, "src") {
-      Thread("run", clk, [this, n] {
-        for (unsigned i = 0; i < n; ++i) out.Push(Payload(i));
-        for (;;) wait();
-      });
-    }
-  };
-
-  struct Sink : Module {
-    connections::In<std::uint32_t> in;
-    std::uint64_t digest = kFnvOffset;
-    std::uint64_t received = 0;
-    Sink(Module& parent, Clock& clk, unsigned n) : Module(parent, "snk") {
-      Thread("run", clk, [this, n] {
-        unsigned mismatches = 0;
-        for (unsigned i = 0; i < n; ++i) {
-          const std::uint32_t v = in.Pop();
-          if (v != Payload(i) && ++mismatches <= 4) {
-            sim().chaos().ReportDetection(
-                full_name(), "payload-mismatch",
-                "position " + std::to_string(i) + ": got 0x" + ToHex(v) +
-                    ", expected 0x" + ToHex(Payload(i)));
-          }
-          digest = Mix(digest, v);
-          ++received;
-        }
-        done_ = true;
-        sim().Stop();
-        for (;;) wait();
-      });
-    }
-    bool done() const { return done_; }
-
-   private:
-    static std::string ToHex(std::uint32_t v) {
-      std::ostringstream os;
-      os << std::hex << v;
-      return os.str();
-    }
-    bool done_ = false;
-  };
-
-  LiHarness(Simulator& sim, unsigned messages)
-      : top(sim, "li"),
-        clk_a(sim, "clk_a", 1000),
-        clk_b(sim, "clk_b", 1300),
-        src(top, clk_a, messages),
-        src_q(top, "src_q", clk_a),
-        rt(top, "rt", clk_a),
-        rt_q(top, "rt_q", clk_a),
-        pack(top, "pack", clk_a),
-        link(top, "link", clk_a),
-        depack(top, "depack", clk_a),
-        cross(top, "cross", clk_a, clk_b),
-        snk(top, clk_b, messages) {
-    src.out(src_q);
-    rt.in(src_q);
-    rt.out(rt_q);
-    pack.in(rt_q);
-    pack.out(link);
-    depack.in(link);
-    depack.out(cross.producer_end());
-    snk.in(cross.consumer_end());
-  }
-
-  Module top;
-  Clock clk_a, clk_b;
-  Source src;
-  connections::Buffer<std::uint32_t> src_q;
-  connections::Retimer<std::uint32_t, 2> rt;
-  connections::Buffer<std::uint32_t> rt_q;
-  connections::Packetizer<std::uint32_t, kFlitBits> pack;
-  connections::Buffer<connections::Flit> link;
-  connections::DePacketizer<std::uint32_t, kFlitBits> depack;
-  gals::AsyncChannel<std::uint32_t> cross;
-  Sink snk;
-};
 
 void HarvestTransfers(const Simulator& sim, Fingerprint* fp) {
   for (const auto& [name, c] : sim.stats().channels()) fp->transfers[name] = c.dequeues;
@@ -138,26 +24,6 @@ void HarvestChaos(Simulator& sim, RunRecord* rec) {
   rec->injections = sim.chaos().Injections();
   rec->detections = sim.chaos().Detections();
   rec->warnings = sim.chaos().config_warnings();
-}
-
-/// Runs `sim` until `done()` or until `progress()` has been flat for two
-/// 20 us chunks (~40k producer cycles) — the bounded-hang driver a drop
-/// fault needs: a lost token legitimately stalls the sink forever.
-bool RunQuiescent(Simulator& sim, const std::function<bool()>& done,
-                  const std::function<std::uint64_t()>& progress) {
-  std::uint64_t last = ~0ull;
-  int idle = 0;
-  while (!done() && idle < 2) {
-    sim.Run(20_us);
-    const std::uint64_t p = progress();
-    if (p == last) {
-      ++idle;
-    } else {
-      idle = 0;
-      last = p;
-    }
-  }
-  return done();
 }
 
 /// Hooks craft-pulse into a campaign simulator (pre-elaboration): heartbeat
@@ -179,6 +45,42 @@ void EnableCampaignPulse(Simulator& sim, const CampaignPulse* pulse,
       return trace::FormatTable(trace::AttributeBackpressure(s, 5));
     });
   }
+}
+
+/// One campaign run of `design` through the shared scenario run path, with
+/// the campaign's registries armed and its fingerprint and fault record
+/// harvested. A corrupting plan also turns craft-trace on for blame.
+RunRecord RunOne(const lint::RefDesign& design, const std::string& workload,
+                 const FaultPlan* plan, unsigned parallelism, unsigned messages,
+                 const std::string& label, const CampaignPulse* pulse,
+                 const CampaignHooks* hooks) {
+  RunRecord rec;
+  rec.label = label;
+  const bool corrupting = plan != nullptr && !plan->latency_only();
+  lint::RunSpec spec;
+  spec.workload = workload;
+  spec.plan = plan;
+  spec.parallelism = parallelism;
+  spec.messages = messages;
+  spec.arm = [&](Simulator& sim) {
+    const bool soc = design.kind == lint::RefDesign::Kind::kSoc;
+    EnableCampaignPulse(sim, pulse, (soc ? workload : design.name) + "/" + label);
+    if (corrupting) sim.trace_events().Enable();
+    if (hooks != nullptr && hooks->pre_elaborate) hooks->pre_elaborate(sim);
+  };
+  spec.finished = [&](Simulator& sim, soc::SocTop*, const lint::ScenarioRun&) {
+    HarvestTransfers(sim, &rec.fp);
+    if (plan != nullptr) HarvestChaos(sim, &rec);
+    if (corrupting)
+      rec.blame = trace::FormatTable(trace::AttributeBackpressure(sim, 5));
+    if (hooks != nullptr && hooks->post_run) hooks->post_run(sim, label);
+  };
+  const lint::ScenarioRun run = lint::RunScenario(design, spec);
+  rec.fp.ok = run.ok;
+  rec.fp.cycles = run.cycles;
+  rec.fp.digest = run.digest;
+  rec.error = run.error;
+  return rec;
 }
 
 }  // namespace
@@ -215,112 +117,21 @@ FaultPlan SocLatencyPlan(std::uint64_t seed) {
 RunRecord RunLiPipeline(const FaultPlan* plan, unsigned parallelism,
                         unsigned messages, const std::string& label,
                         const CampaignPulse* pulse, const CampaignHooks* hooks) {
-  RunRecord rec;
-  rec.label = label;
-  Simulator sim;
-  sim.stats().Enable();
-  EnableCampaignPulse(sim, pulse, "li_pipeline/" + label);
-  const bool corrupting = plan != nullptr && !plan->latency_only();
-  if (corrupting) sim.trace_events().Enable();
-  if (plan != nullptr) sim.chaos().Enable(*plan);
-  if (hooks != nullptr && hooks->pre_elaborate) hooks->pre_elaborate(sim);
-  if (parallelism >= 1) sim.SetParallelism(parallelism);
-  LiHarness h(sim, messages);
-  try {
-    RunQuiescent(
-        sim, [&] { return h.snk.done(); },
-        [&] { return h.snk.received; });
-  } catch (const SimError& e) {
-    rec.error = e.what();
-    if (corrupting) sim.chaos().ReportDetection("campaign", "sim-error", e.what());
-  }
-  rec.fp.ok = h.snk.done() && rec.error.empty();
-  rec.fp.cycles = h.clk_b.cycle();
-  rec.fp.digest = h.snk.digest;
-  HarvestTransfers(sim, &rec.fp);
-  if (!h.snk.done() && rec.error.empty()) {
-    rec.error = "sink stalled at " + std::to_string(h.snk.received) + "/" +
-                std::to_string(messages) + " messages";
-    if (corrupting) sim.chaos().ReportDetection("campaign", "shortfall", rec.error);
-  }
-  if (plan != nullptr) HarvestChaos(sim, &rec);
-  if (corrupting)
-    rec.blame = trace::FormatTable(trace::AttributeBackpressure(sim, 5));
-  if (hooks != nullptr && hooks->post_run) hooks->post_run(sim, label);
-  return rec;
+  lint::RefDesign design;
+  std::string workload;
+  lint::Resolve("li_pipeline", &design, &workload);
+  return RunOne(design, workload, plan, parallelism, messages, label, pulse, hooks);
 }
 
-RunRecord RunSocWorkload(const soc::SocConfig& cfg0, const std::string& workload,
+RunRecord RunSocWorkload(const soc::SocConfig& cfg, const std::string& workload,
                          const FaultPlan* plan, unsigned parallelism,
                          const std::string& label, const CampaignPulse* pulse,
                          const CampaignHooks* hooks) {
-  RunRecord rec;
-  rec.label = label;
-  Simulator sim;
-  sim.stats().Enable();
-  EnableCampaignPulse(sim, pulse, workload + "/" + label);
-  const bool corrupting = plan != nullptr && !plan->latency_only();
-  if (corrupting) sim.trace_events().Enable();
-  if (plan != nullptr) sim.chaos().Enable(*plan);
-  if (hooks != nullptr && hooks->pre_elaborate) hooks->pre_elaborate(sim);
-  soc::SocConfig cfg = cfg0;
-  if (parallelism >= 1) cfg.parallelism = parallelism;
-  soc::SocTop soc(sim, cfg);
-  const auto all = soc::AllWorkloads();
-  const auto it = std::find_if(all.begin(), all.end(),
-                               [&](const soc::Workload& w) { return w.name == workload; });
-  CRAFT_ASSERT(it != all.end(), "unknown workload " << workload);
-  soc::WorkloadRun run;
-  try {
-    run = soc::RunWorkload(soc, *it, 50_ms);
-  } catch (const SimError& e) {
-    run.name = workload;
-    run.ok = false;
-    run.error = e.what();
-  }
-  rec.fp.ok = run.ok;
-  rec.fp.cycles = run.cycles;
-  rec.error = run.error;
-  std::uint64_t d = kFnvOffset;
-  for (std::uint32_t w = 0; w < soc::SocTop::Gm::SizeWords(); ++w)
-    d = Mix(d, soc.PeekGm(w));
-  rec.fp.digest = d;
-  HarvestTransfers(sim, &rec.fp);
-  if (corrupting && !run.ok)
-    sim.chaos().ReportDetection("campaign", "golden-divergence", run.error);
-  if (plan != nullptr) HarvestChaos(sim, &rec);
-  if (corrupting)
-    rec.blame = trace::FormatTable(trace::AttributeBackpressure(sim, 5));
-  if (hooks != nullptr && hooks->post_run) hooks->post_run(sim, label);
-  return rec;
+  const lint::RefDesign design{workload, lint::RefDesign::Kind::kSoc, nullptr, cfg};
+  return RunOne(design, workload, plan, parallelism, 0, label, pulse, hooks);
 }
 
 namespace {
-
-/// Runs a non-SoC reference design (the GALS pipeline, an endless stream)
-/// for a fixed sim-time window; the fingerprint is the message set at the
-/// window edge. Usable for determinism / n-invariance oracles only — a
-/// latency fault legitimately changes in-window throughput.
-RunRecord RunRefWindow(const lint::RefDesign& design, const FaultPlan* plan,
-                       unsigned parallelism, const std::string& label,
-                       const CampaignPulse* pulse = nullptr,
-                       const CampaignHooks* hooks = nullptr) {
-  RunRecord rec;
-  rec.label = label;
-  Simulator sim;
-  sim.stats().Enable();
-  EnableCampaignPulse(sim, pulse, design.name + "/" + label);
-  if (plan != nullptr) sim.chaos().Enable(*plan);
-  if (hooks != nullptr && hooks->pre_elaborate) hooks->pre_elaborate(sim);
-  if (parallelism >= 1) sim.SetParallelism(parallelism);
-  const auto handle = design.build(sim);
-  sim.RunUntil(300_us);
-  rec.fp.ok = true;
-  HarvestTransfers(sim, &rec.fp);
-  if (plan != nullptr) HarvestChaos(sim, &rec);
-  if (hooks != nullptr && hooks->post_run) hooks->post_run(sim, label);
-  return rec;
-}
 
 void Fail(CampaignResult* c, const std::string& why) { c->failures.push_back(why); }
 
@@ -372,19 +183,39 @@ std::vector<CampaignResult> RunCampaigns(const CampaignConfig& config) {
     return h;
   };
 
-  {
-    CampaignResult c{"li_pipeline", "latency"};
-    const CampaignHooks hk = qualify(c.design);
+  // One latency campaign over a registry scenario: the fault-free golden
+  // run (not for endless streams, whose fixed window has no outputs to
+  // compare), the faulted run, its repeat and its SetParallelism(4) twin
+  // (not for the single-clock SoC, which has one domain to shard). The
+  // pipeline harness gets the aggressive plan and the message-set oracle.
+  const auto latency = [&](const std::string& name) {
+    CampaignResult c{name, "latency"};
+    lint::RefDesign d;
+    std::string w;
+    if (const std::string err = lint::Resolve(name, &d, &w); !err.empty()) {
+      Fail(&c, err);
+      c.passed = false;
+      out.push_back(std::move(c));
+      return;
+    }
+    using Kind = lint::RefDesign::Kind;
+    const CampaignHooks hk = qualify(name);
     const CampaignHooks* hkp = hooked ? &hk : nullptr;
-    const FaultPlan plan = PipelineLatencyPlan(config.seed);
-    c.runs.push_back(RunLiPipeline(nullptr, 1, msgs, "golden-n1", hb, hkp));
-    c.runs.push_back(RunLiPipeline(&plan, 1, msgs, "latency-n1", hb, hkp));
-    c.runs.push_back(RunLiPipeline(&plan, 1, msgs, "latency-n1-repeat", hb, hkp));
-    c.runs.push_back(RunLiPipeline(&plan, 4, msgs, "latency-n4", hb, hkp));
-    JudgeLatency(&c, &c.runs[0], c.runs[1], c.runs[2], &c.runs[3],
-                 /*compare_transfers=*/true);
+    const FaultPlan plan = d.kind == Kind::kPipeline ? PipelineLatencyPlan(config.seed)
+                                                     : SocLatencyPlan(config.seed);
+    const bool golden = d.kind != Kind::kStream;
+    const bool n4 = d.kind != Kind::kSoc || d.soc_cfg->gals;
+    if (golden) c.runs.push_back(RunOne(d, w, nullptr, 1, msgs, "golden-n1", hb, hkp));
+    c.runs.push_back(RunOne(d, w, &plan, 1, msgs, "latency-n1", hb, hkp));
+    c.runs.push_back(RunOne(d, w, &plan, 1, msgs, "latency-n1-repeat", hb, hkp));
+    if (n4) c.runs.push_back(RunOne(d, w, &plan, 4, msgs, "latency-n4", hb, hkp));
+    const std::size_t f = golden ? 1 : 0;
+    JudgeLatency(&c, golden ? &c.runs[0] : nullptr, c.runs[f], c.runs[f + 1],
+                 n4 ? &c.runs[f + 2] : nullptr, d.kind == Kind::kPipeline);
     out.push_back(std::move(c));
-  }
+  };
+
+  latency("li_pipeline");
 
   {
     // Corruption mode: one scheduled fault per trial, cycling through the
@@ -399,13 +230,13 @@ std::vector<CampaignResult> RunCampaigns(const CampaignConfig& config) {
     for (unsigned k = 0; k < trials; ++k) {
       Rng r(config.seed * 1000003ull + k);
       CorruptionFault f;
-      f.channel = LiHarness::kLinkChannel;
+      f.channel = lint::kPipelineLinkChannel;
       f.kind = k % 3 == 0   ? CorruptionFault::Kind::kBitFlip
                : k % 3 == 1 ? CorruptionFault::Kind::kDrop
                             : CorruptionFault::Kind::kDuplicate;
       // The link carries 2 flits per message; aim inside the steady stream.
       f.commit_index = 4 + r.NextBelow(2ull * msgs - 12);
-      f.bit = static_cast<unsigned>(r.NextBelow(LiHarness::kFlitBits));
+      f.bit = static_cast<unsigned>(r.NextBelow(lint::kPipelineFlitBits));
       FaultPlan plan;
       plan.seed = config.seed;
       plan.corruptions = {f};
@@ -423,12 +254,6 @@ std::vector<CampaignResult> RunCampaigns(const CampaignConfig& config) {
   }
 
   // SoC reference designs x workloads, plus the GALS pipeline window.
-  const auto designs = lint::ReferenceDesigns();
-  const auto find_design = [&](const std::string& name) -> const lint::RefDesign* {
-    for (const auto& d : designs)
-      if (d.name == name) return &d;
-    return nullptr;
-  };
   std::vector<std::pair<std::string, std::string>> soc_sel;
   const std::vector<std::string> full_workloads =
       config.workloads.empty()
@@ -444,44 +269,8 @@ std::vector<CampaignResult> RunCampaigns(const CampaignConfig& config) {
     soc_sel.emplace_back("soc_gals_io_2x2", base_workload);
     soc_sel.emplace_back("soc_gals_3x3", base_workload);
   }
-  for (const auto& [dname, wname] : soc_sel) {
-    const lint::RefDesign* d = find_design(dname);
-    if (d == nullptr || !d->soc_cfg.has_value()) continue;
-    CampaignResult c{dname + ":" + wname, "latency"};
-    const CampaignHooks hk = qualify(c.design);
-    const CampaignHooks* hkp = hooked ? &hk : nullptr;
-    const FaultPlan plan = SocLatencyPlan(config.seed);
-    const bool gals = d->soc_cfg->gals;
-    c.runs.push_back(
-        RunSocWorkload(*d->soc_cfg, wname, nullptr, 1, "golden-n1", hb, hkp));
-    c.runs.push_back(
-        RunSocWorkload(*d->soc_cfg, wname, &plan, 1, "latency-n1", hb, hkp));
-    c.runs.push_back(
-        RunSocWorkload(*d->soc_cfg, wname, &plan, 1, "latency-n1-repeat", hb, hkp));
-    if (gals)
-      c.runs.push_back(
-          RunSocWorkload(*d->soc_cfg, wname, &plan, 4, "latency-n4", hb, hkp));
-    JudgeLatency(&c, &c.runs[0], c.runs[1], c.runs[2],
-                 gals ? &c.runs[3] : nullptr, /*compare_transfers=*/false);
-    out.push_back(std::move(c));
-  }
-
-  if (!quick) {
-    if (const lint::RefDesign* d = find_design("gals_pipeline")) {
-      // Endless stream, fixed window: determinism + n-invariance only.
-      CampaignResult c{"gals_pipeline", "latency"};
-      const CampaignHooks hk = qualify(c.design);
-      const CampaignHooks* hkp = hooked ? &hk : nullptr;
-      const FaultPlan plan = SocLatencyPlan(config.seed);
-      c.runs.push_back(RunRefWindow(*d, &plan, 1, "latency-n1", hb, hkp));
-      c.runs.push_back(RunRefWindow(*d, &plan, 1, "latency-n1-repeat", hb, hkp));
-      c.runs.push_back(RunRefWindow(*d, &plan, 4, "latency-n4", hb, hkp));
-      JudgeLatency(&c, nullptr, c.runs[0], c.runs[1], &c.runs[2],
-                   /*compare_transfers=*/false);
-      out.push_back(std::move(c));
-    }
-  }
-
+  for (const auto& [dname, wname] : soc_sel) latency(dname + ":" + wname);
+  if (!quick) latency("gals_pipeline");
   return out;
 }
 

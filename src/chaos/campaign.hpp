@@ -104,17 +104,18 @@ struct CampaignConfig {
 FaultPlan PipelineLatencyPlan(std::uint64_t seed);
 FaultPlan SocLatencyPlan(std::uint64_t seed);
 
-/// Runs the LI pipeline harness (source -> retimer -> packetizer -> flit
-/// link -> depacketizer -> pausible crossing -> checking sink) once.
-/// `plan == nullptr` is the fault-free golden run; `pulse == nullptr` (or a
-/// zero period) runs without live telemetry.
+/// Runs the registry's LI pipeline harness (source -> retimer -> packetizer
+/// -> flit link -> depacketizer -> pausible crossing -> checking sink) once
+/// through lint::RunScenario. `plan == nullptr` is the fault-free golden
+/// run; `pulse == nullptr` (or a zero period) runs without live telemetry.
 RunRecord RunLiPipeline(const FaultPlan* plan, unsigned parallelism,
                         unsigned messages, const std::string& label,
                         const CampaignPulse* pulse = nullptr,
                         const CampaignHooks* hooks = nullptr);
 
-/// Runs one SoC workload under `cfg` with the fault plan armed. The digest
-/// covers the full global-memory image after the golden check.
+/// Runs one SoC workload under `cfg` with the fault plan armed, through the
+/// same run path. The digest covers the full global-memory image after the
+/// golden check; an unknown workload is a failed run.
 RunRecord RunSocWorkload(const soc::SocConfig& cfg, const std::string& workload,
                          const FaultPlan* plan, unsigned parallelism,
                          const std::string& label,

@@ -1,5 +1,5 @@
 // craft-cover database: the cross-run functional-coverage model behind the
-// craft_cover CLI and the CI coverage gate (DESIGN.md §13).
+// `craft cover` verb and the CI coverage gate (DESIGN.md §13).
 //
 // A Database holds RUNS (one per executed simulation, keyed by a globally
 // unique run id) and GROUPS (one covergroup per design site, keyed by

@@ -1,12 +1,11 @@
-// Coverage workload runner: executes the repo's reference workloads with the
-// cover registry armed and harvests each run into a Database. This is what
-// `craft_cover run` and the CI coverage job call; tests reuse it to check
-// fingerprint determinism across parallelism levels and chaos seeds.
+// Coverage workload runner: runs one registry scenario (lint/ref_designs.hpp)
+// with the cover registry armed and harvests it into a Database. This is
+// what `craft cover run` and the CI coverage job call; tests reuse it to
+// check fingerprint determinism across parallelism levels and chaos seeds.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "cover/cover.hpp"
 
@@ -22,13 +21,10 @@ struct RunOptions {
   unsigned messages = 64;  ///< li_pipeline traffic per run
 };
 
-/// Designs RunDesign accepts. SoC entries also take a ":<workload>" suffix
-/// ("soc_gals_2x2:dot"); without one they run "vecmul".
-std::vector<std::string> RunnableDesigns();
-
-/// Runs `design` once under `opt` and collects its coverage into `db`.
-/// Returns "" on success, else an error description (unknown design,
-/// unsupported chaos mode, duplicate run id).
+/// Runs scenario `design` ("name" or "soc_name:workload"; a bare SoC name
+/// runs "vecmul") once under `opt` and collects its coverage into `db`.
+/// Returns "" on success, else an error description (unknown design or
+/// workload, unsupported chaos mode, duplicate run id, failed run).
 std::string RunDesign(const std::string& design, const RunOptions& opt,
                       Database* db);
 

@@ -1,25 +1,31 @@
-// craft_chaos: deterministic fault-injection campaigns over the LI pipeline
-// harness and the shipped reference designs (DESIGN.md §11) — the dynamic
-// counterpart to craft_lint/craft_prove's static checks. Latency-only
-// campaigns must leave outputs bit-identical (LI-invariance); corruption
-// campaigns must be detected, never silent.
+// craft chaos: deterministic fault-injection campaigns over the LI pipeline
+// and the reference designs (DESIGN.md §11) — the dynamic counterpart to
+// craft lint / craft prove's static checks. Latency-only campaigns must
+// leave outputs bit-identical (LI-invariance); corruption campaigns must be
+// detected, never silent.
 //
 // Exits 1 on any oracle failure (LI-invariance break, nondeterminism,
-// undetected corruption), 2 on usage errors — a plain ctest invocation
-// doubles as the fault-injection regression suite.
+// undetected corruption), 2 on usage and I/O errors, so a plain ctest
+// invocation doubles as the fault-injection regression suite.
 #include <cstdio>
-#include <fstream>
+#include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "chaos/campaign.hpp"
 #include "cover/cover.hpp"
+#include "driver/driver.hpp"
 #include "kernel/simulator.hpp"
-#include "support/cli.hpp"
+#include "lint/ref_designs.hpp"
+
+namespace craft::driver {
 
 namespace {
 
+constexpr const char* kTool = "craft chaos";
+
 constexpr const char kUsage[] =
-    "usage: craft_chaos [--seed N] [--quick|--full] [--trials N] "
+    "usage: craft chaos [--seed N] [--quick|--full] [--trials N] "
     "[--messages N] [--workload NAME]... [--json[=FILE]] "
     "[--heartbeat[=FILE]] [--cover=FILE] [--pulse-period PS] "
     "[--progress-windows N] [--quiet]\n"
@@ -46,19 +52,13 @@ constexpr const char kUsage[] =
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  using craft::chaos::CampaignConfig;
+int Chaos(int argc, char** argv) {
+  using chaos::CampaignConfig;
   CampaignConfig config;
-  bool json = false;
-  bool quiet = false;
-  bool heartbeat = false;
-  std::string json_path;
-  std::string heartbeat_path;
-  std::string cover_path;
+  bool json = false, quiet = false, heartbeat = false, quick = false, full = false;
+  std::string json_path, heartbeat_path, cover_path;
 
-  craft::cli::Parser p("craft_chaos", kUsage);
-  bool quick = false;
-  bool full = false;
+  cli::Parser p(kTool, kUsage);
   p.U64("--seed", &config.seed);
   p.Flag("--quick", &quick);
   p.Flag("--full", &full);
@@ -71,41 +71,35 @@ int main(int argc, char** argv) {
   p.U64("--pulse-period", &config.pulse.period_ps);
   p.U32("--progress-windows", &config.pulse.progress_windows);
   p.Flag("--quiet", &quiet);
-  if (auto st = p.Parse(argc, argv); st != craft::cli::Status::kContinue)
-    return craft::cli::ExitCode(st);
+  if (auto st = p.Parse(argc, argv); st != cli::Status::kContinue)
+    return cli::ExitCode(st);
   if (quick) config.scale = CampaignConfig::Scale::kQuick;
   if (full) config.scale = CampaignConfig::Scale::kFull;
+  for (const std::string& w : config.workloads) {
+    std::vector<soc::Workload> found;
+    if (w == "all" || !lint::SelectWorkloads({w}, &found).empty())
+      return cli::ExitCode(p.UsageError("unknown workload '" + w + "'"));
+  }
 
   std::FILE* hb_file = nullptr;
   if (heartbeat) {
-    if (config.pulse.period_ps == 0) config.pulse.period_ps = 10'000'000;
-    if (heartbeat_path.empty()) {
-      config.pulse.heartbeat = stderr;
-    } else {
-      hb_file = std::fopen(heartbeat_path.c_str(), "a");
-      if (hb_file == nullptr) {
-        std::fprintf(stderr, "craft_chaos: cannot write heartbeat file %s\n",
-                     heartbeat_path.c_str());
-        return 2;
-      }
-      config.pulse.heartbeat = hb_file;
-    }
-  } else if (config.pulse.period_ps > 0 || config.pulse.progress_windows > 0) {
-    // Watchdogs without a log: sample windows but stay quiet.
-    if (config.pulse.period_ps == 0) config.pulse.period_ps = 10'000'000;
+    hb_file = OpenLog(kTool, heartbeat_path, "a", "heartbeat");
+    if (hb_file == nullptr) return 2;
+    config.pulse.heartbeat = hb_file;
   }
+  // A heartbeat or a watchdog without a period samples every 10 us.
+  if ((heartbeat || config.pulse.progress_windows > 0) && config.pulse.period_ps == 0)
+    config.pulse.period_ps = 10'000'000;
 
   // Coverage piggy-backs on the campaign via the observer hooks: the cover
   // registry is armed before each run's elaboration and harvested after it,
   // one run-id per design-qualified campaign label.
-  craft::cover::Database cover_db;
+  cover::Database cover_db;
   if (!cover_path.empty()) {
-    config.hooks.pre_elaborate = [](craft::Simulator& sim) {
-      sim.cover().Enable();
-    };
-    config.hooks.post_run = [&config, &cover_db](craft::Simulator& sim,
+    config.hooks.pre_elaborate = [](Simulator& sim) { sim.cover().Enable(); };
+    config.hooks.post_run = [&config, &cover_db](Simulator& sim,
                                                  const std::string& label) {
-      craft::cover::RunInfo r;
+      cover::RunInfo r;
       r.id = "chaos/s" + std::to_string(config.seed) + "/" + label;
       r.design = label;
       r.seed = config.seed;
@@ -116,47 +110,30 @@ int main(int argc, char** argv) {
         const unsigned long v = std::strtoul(label.c_str() + pos + 2, nullptr, 10);
         if (v >= 1 && v <= 64) r.parallelism = static_cast<unsigned>(v);
       }
-      craft::cover::Collect(sim, r, &cover_db);
+      cover::Collect(sim, r, &cover_db);
     };
   }
 
-  const auto results = craft::chaos::RunCampaigns(config);
-  const unsigned failures = craft::chaos::FailureCount(results);
+  const auto results = chaos::RunCampaigns(config);
+  const unsigned failures = chaos::FailureCount(results);
+  if (hb_file != nullptr && hb_file != stderr) std::fclose(hb_file);
 
-  if (!cover_path.empty()) {
-    std::ofstream cov(cover_path);
-    if (!cov) {
-      std::fprintf(stderr, "craft_chaos: cannot write %s\n", cover_path.c_str());
-      return 2;
-    }
-    cov << craft::cover::FormatJson(cover_db);
-  }
+  if (!cover_path.empty() && !WriteDoc(kTool, cover_path, cover::FormatJson(cover_db)))
+    return 2;
 
   // With --json to stdout, the JSON document must be the only thing there.
   std::FILE* text_out = (json && json_path.empty()) ? stderr : stdout;
   if (!quiet) {
-    const std::string text = craft::chaos::FormatText(config, results);
-    std::fputs(text.c_str(), text_out);
+    std::fputs(chaos::FormatText(config, results).c_str(), text_out);
   } else if (failures > 0) {
     for (const auto& c : results)
       for (const auto& f : c.failures)
-        std::fprintf(text_out, "craft_chaos: %s/%s: %s\n", c.design.c_str(),
+        std::fprintf(text_out, "%s: %s/%s: %s\n", kTool, c.design.c_str(),
                      c.mode.c_str(), f.c_str());
   }
-
-  if (json) {
-    const std::string doc = craft::chaos::FormatJson(config, results);
-    if (json_path.empty()) {
-      std::fputs(doc.c_str(), stdout);
-    } else {
-      std::ofstream out(json_path);
-      if (!out) {
-        std::fprintf(stderr, "craft_chaos: cannot write %s\n", json_path.c_str());
-        return 2;
-      }
-      out << doc;
-    }
-  }
-  if (hb_file != nullptr) std::fclose(hb_file);
+  if (json && !WriteDoc(kTool, json_path, chaos::FormatJson(config, results)))
+    return 2;
   return failures > 0 ? 1 : 0;
 }
+
+}  // namespace craft::driver

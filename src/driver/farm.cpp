@@ -1,9 +1,10 @@
-// craft_farm: multi-process campaign orchestrator (DESIGN.md §14). Expands
+// craft farm: multi-process campaign orchestrator (DESIGN.md §14). Expands
 // a matrix spec — designs × seeds × parallelism levels × chaos plans, per
-// instrument — into trials, runs them across a --jobs N pool of forked
-// craft_* tool processes, merges the per-trial craft-cover shards via the
-// commutative cover::Merge, aggregates chaos verdicts, and writes one
-// craft-farm-v1 manifest.
+// instrument — into trials, runs them across a --jobs N pool of processes
+// that each run one `craft cover run` or `craft chaos` invocation of this
+// same binary, merges the per-trial craft-cover shards via the commutative
+// cover::Merge, aggregates chaos verdicts, and writes one craft-farm-v1
+// manifest.
 //
 // Determinism: trials are expanded, indexed and merged in spec order, and
 // the default manifest contains nothing wall-clock-dependent — so the
@@ -16,33 +17,32 @@
 // Exit codes: 0 all trials passed (or were waived), 1 any unwaived trial or
 // chaos-oracle failure, 2 usage / IO / merge errors.
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "cover/cover.hpp"
+#include "driver/driver.hpp"
 #include "farm/farm.hpp"
-#include "support/cli.hpp"
 #include "support/json.hpp"
+
+namespace craft::driver {
 
 namespace {
 
-using namespace craft;
+constexpr const char* kTool = "craft farm";
 
 constexpr const char kUsage[] =
-    "usage: craft_farm [--design NAME]... [--seed N]... [--parallelism N]...\n"
+    "usage: craft farm [--design NAME]... [--seed N]... [--parallelism N]...\n"
     "                  [--chaos none|latency|corrupt]...\n"
     "                  [--instrument cover|chaos]... [--messages N]\n"
     "                  [--jobs N] [--timeout S] [--retries N] [--backoff S]\n"
     "                  [--fail-fast] [--waive ID]... [--out-dir DIR]\n"
-    "                  [--manifest FILE] [--cover-out FILE]\n"
-    "                  [--cover-bin PATH] [--chaos-bin PATH]\n"
+    "                  [--manifest FILE] [--cover-out FILE] [--bin PATH]\n"
     "                  [--progress[=FILE]] [--timing] [--quiet]\n"
     "\n"
     "  --design NAME     cover-instrument workload axis (repeatable;\n"
@@ -52,8 +52,8 @@ constexpr const char kUsage[] =
     "  --chaos MODE      fault-plan axis: none, latency or corrupt\n"
     "                    (repeatable; default none)\n"
     "  --instrument SET  which tool instruments the matrix: cover expands\n"
-    "                    the full axis product into craft_cover runs; chaos\n"
-    "                    adds one craft_chaos campaign per seed\n"
+    "                    the full axis product into craft cover runs; chaos\n"
+    "                    adds one craft chaos campaign per seed\n"
     "                    (repeatable; default cover)\n"
     "  --messages N      per-trial traffic volume (default 16)\n"
     "  --jobs N          worker pool width (default 1)\n"
@@ -66,35 +66,12 @@ constexpr const char kUsage[] =
     "  --out-dir DIR     artifact directory (default farm-out)\n"
     "  --manifest FILE   craft-farm-v1 manifest (default DIR/farm.json)\n"
     "  --cover-out FILE  merged cover db (default DIR/cover.json)\n"
-    "  --cover-bin PATH  craft_cover binary (default: next to craft_farm)\n"
-    "  --chaos-bin PATH  craft_chaos binary (default: next to craft_farm)\n"
+    "  --bin PATH        craft binary the trials run (default: this one)\n"
     "  --progress        one line per attempt to stderr, craft-pulse style\n"
     "  --progress=FILE   ... or appended to FILE\n"
     "  --timing          embed per-trial durations as timing_n_variant\n"
     "                    (breaks --jobs byte-identity, by design)\n"
     "  --quiet           suppress the human-readable summary\n";
-
-/// Directory of the running craft_farm binary, for sibling-tool resolution.
-std::string SelfDir() {
-  char buf[4096];
-  const ssize_t n = readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n <= 0) return ".";
-  buf[n] = '\0';
-  const std::string path(buf);
-  const std::size_t slash = path.rfind('/');
-  return slash == std::string::npos ? "." : path.substr(0, slash);
-}
-
-/// Resolves a sibling craft_* binary: same directory first (installed
-/// layout), then the build-tree sibling src/<dir>/<tool>.
-std::string FindTool(const std::string& dir_hint, const std::string& tool) {
-  const std::string self = SelfDir();
-  for (const std::string& cand :
-       {self + "/" + tool, self + "/../" + dir_hint + "/" + tool}) {
-    if (access(cand.c_str(), X_OK) == 0) return cand;
-  }
-  return tool;  // fall back to PATH lookup in execvp
-}
 
 std::string PathSafe(const std::string& s) {
   std::string out;
@@ -115,15 +92,6 @@ bool Waived(const std::string& id, const std::vector<std::string>& waivers) {
     }
   }
   return false;
-}
-
-bool ReadFile(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  *out = ss.str();
-  return true;
 }
 
 struct ChaosTotals {
@@ -153,7 +121,7 @@ bool AggregateChaos(const std::string& text, ChaosTotals* t) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int Farm(int argc, char** argv) {
   std::vector<std::string> designs;
   std::vector<std::string> seeds_text;
   std::vector<std::string> pars_text;
@@ -162,7 +130,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> waivers;
   unsigned messages = 16;
   farm::Policy policy;
-  bool fail_fast = false;
   bool progress = false;
   bool timing = false;
   bool quiet = false;
@@ -170,10 +137,9 @@ int main(int argc, char** argv) {
   std::string out_dir = "farm-out";
   std::string manifest_path;
   std::string cover_out;
-  std::string cover_bin;
-  std::string chaos_bin;
+  std::string bin = "/proc/self/exe";
 
-  cli::Parser p("craft_farm", kUsage);
+  cli::Parser p(kTool, kUsage);
   p.StrList("--design", &designs);
   p.StrList("--seed", &seeds_text);
   p.StrList("--parallelism", &pars_text);
@@ -184,13 +150,12 @@ int main(int argc, char** argv) {
   p.F64("--timeout", &policy.timeout_s);
   p.U32("--retries", &policy.retries);
   p.F64("--backoff", &policy.backoff_s);
-  p.Flag("--fail-fast", &fail_fast);
+  p.Flag("--fail-fast", &policy.fail_fast);
   p.StrList("--waive", &waivers);
   p.Str("--out-dir", &out_dir);
   p.Str("--manifest", &manifest_path);
   p.Str("--cover-out", &cover_out);
-  p.Str("--cover-bin", &cover_bin);
-  p.Str("--chaos-bin", &chaos_bin);
+  p.Str("--bin", &bin);
   p.OptStr("--progress", &progress, &progress_path);
   p.Flag("--timing", &timing);
   p.Flag("--quiet", &quiet);
@@ -212,15 +177,9 @@ int main(int argc, char** argv) {
           p.UsageError("--seed wants an unsigned integer, got '" + s + "'"));
     seeds.push_back(v);
   }
-  std::vector<unsigned> pars;
-  for (const std::string& s : pars_text) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(s.c_str(), &end, 0);
-    if (s.empty() || *end != '\0' || s[0] == '-' || v == 0 || v > 64)
-      return cli::ExitCode(
-          p.UsageError("--parallelism wants 1..64, got '" + s + "'"));
-    pars.push_back(static_cast<unsigned>(v));
-  }
+  std::vector<unsigned> pars(pars_text.size());
+  for (std::size_t i = 0; i < pars_text.size(); ++i)
+    if (!ParseParallelism(p, pars_text[i], &pars[i])) return 2;
   for (const std::string& m : chaos_modes)
     if (m != "none" && m != "latency" && m != "corrupt")
       return cli::ExitCode(p.UsageError(
@@ -229,26 +188,13 @@ int main(int argc, char** argv) {
     if (i != "cover" && i != "chaos")
       return cli::ExitCode(p.UsageError("unknown --instrument value '" + i +
                                         "' (expected cover|chaos)"));
-  policy.fail_fast = fail_fast;
 
   if (manifest_path.empty()) manifest_path = out_dir + "/farm.json";
   if (cover_out.empty()) cover_out = out_dir + "/cover.json";
-  if (cover_bin.empty()) cover_bin = FindTool("cover", "craft_cover");
-  if (chaos_bin.empty()) chaos_bin = FindTool("chaos", "craft_chaos");
 
-  std::FILE* progress_file = nullptr;
   if (progress) {
-    if (progress_path.empty()) {
-      policy.progress = stderr;
-    } else {
-      progress_file = std::fopen(progress_path.c_str(), "a");
-      if (progress_file == nullptr) {
-        std::fprintf(stderr, "craft_farm: cannot write progress file %s\n",
-                     progress_path.c_str());
-        return 2;
-      }
-      policy.progress = progress_file;
-    }
+    policy.progress = OpenLog(kTool, progress_path, "a", "progress");
+    if (policy.progress == nullptr) return 2;
   }
 
   // mkdir -p for the artifact dir (one level is enough for the default).
@@ -264,52 +210,41 @@ int main(int argc, char** argv) {
   // Expand the matrix in nested-loop spec order: this order IS the merge
   // order and the manifest order, independent of scheduling.
   std::vector<farm::TrialSpec> trials;
+  const auto artifact = [&](const std::string& id) {
+    return out_dir + "/" + PathSafe(id) + ".json";
+  };
+  const auto add = [&](const std::string& id, const std::vector<std::string>& args) {
+    farm::TrialSpec t{id, args[0], {bin}, artifact(id), out_dir + "/" + PathSafe(id) + ".log"};
+    t.argv.insert(t.argv.end(), args.begin(), args.end());
+    trials.push_back(std::move(t));
+  };
   for (const std::string& inst : instruments) {
     if (inst == "cover") {
       for (const std::string& d : designs)
         for (const std::uint64_t seed : seeds)
           for (const unsigned par : pars)
             for (const std::string& mode : chaos_modes) {
-              farm::TrialSpec t;
-              t.kind = "cover";
-              t.id = "cover/" + d + "/s" + std::to_string(seed) + "/n" +
-                     std::to_string(par) + "/" + mode;
-              t.artifact = out_dir + "/" + PathSafe(t.id) + ".json";
-              t.log = out_dir + "/" + PathSafe(t.id) + ".log";
-              t.argv = {cover_bin,
-                        "run",
-                        "--design",
-                        d,
-                        "--seed",
-                        std::to_string(seed),
-                        "--parallelism",
-                        std::to_string(par),
-                        "--messages",
-                        std::to_string(messages),
-                        "-o",
-                        t.artifact};
-              if (mode != "none") {
-                t.argv.push_back("--chaos");
-                t.argv.push_back(mode);
-              }
-              trials.push_back(std::move(t));
+              const std::string id = "cover/" + d + "/s" + std::to_string(seed) +
+                                     "/n" + std::to_string(par) + "/" + mode;
+              std::vector<std::string> args = {
+                  "cover", "run", "--design", d, "--seed", std::to_string(seed),
+                  "--parallelism", std::to_string(par), "--messages",
+                  std::to_string(messages), "-o", artifact(id)};
+              if (mode != "none") args.insert(args.end(), {"--chaos", mode});
+              add(id, args);
             }
     } else {  // chaos campaigns: seeded, one per seed
       for (const std::uint64_t seed : seeds) {
-        farm::TrialSpec t;
-        t.kind = "chaos";
-        t.id = "chaos/s" + std::to_string(seed);
-        t.artifact = out_dir + "/" + PathSafe(t.id) + ".json";
-        t.log = out_dir + "/" + PathSafe(t.id) + ".log";
-        t.argv = {chaos_bin, "--quick", "--quiet",
-                  "--seed", std::to_string(seed), "--json=" + t.artifact};
-        trials.push_back(std::move(t));
+        const std::string id = "chaos/s" + std::to_string(seed);
+        add(id, {"chaos", "--quick", "--quiet", "--seed", std::to_string(seed),
+                 "--json=" + artifact(id)});
       }
     }
   }
 
   const std::vector<farm::TrialResult> results = farm::Run(trials, policy);
-  if (progress_file != nullptr) std::fclose(progress_file);
+  if (policy.progress != nullptr && policy.progress != stderr)
+    std::fclose(policy.progress);
 
   // Aggregate: merge cover shards in spec order; fold chaos verdicts.
   cover::Database merged;
@@ -321,7 +256,7 @@ int main(int argc, char** argv) {
     if (results[i].status != farm::TrialStatus::kOk) continue;
     std::string text;
     if (!ReadFile(trials[i].artifact, &text)) {
-      std::fprintf(stderr, "craft_farm: missing artifact %s\n",
+      std::fprintf(stderr, "%s: missing artifact %s\n", kTool,
                    trials[i].artifact.c_str());
       return 2;
     }
@@ -329,12 +264,12 @@ int main(int argc, char** argv) {
       have_cover = true;
       cover::Database shard;
       if (const std::string err = cover::Parse(text, &shard); !err.empty()) {
-        std::fprintf(stderr, "craft_farm: %s: %s\n", trials[i].artifact.c_str(),
+        std::fprintf(stderr, "%s: %s: %s\n", kTool, trials[i].artifact.c_str(),
                      err.c_str());
         return 2;
       }
       if (const std::string err = cover::Merge(shard, &merged); !err.empty()) {
-        std::fprintf(stderr, "craft_farm: merging %s: %s\n",
+        std::fprintf(stderr, "%s: merging %s: %s\n", kTool,
                      trials[i].artifact.c_str(), err.c_str());
         return 2;
       }
@@ -342,24 +277,19 @@ int main(int argc, char** argv) {
     } else {
       have_chaos = true;
       if (!AggregateChaos(text, &chaos_totals)) {
-        std::fprintf(stderr, "craft_farm: %s: not a craft-chaos-v1 report\n",
+        std::fprintf(stderr, "%s: %s: not a craft-chaos-v1 report\n", kTool,
                      trials[i].artifact.c_str());
         return 2;
       }
     }
   }
-  if (have_cover) {
-    std::ofstream out(cover_out, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "craft_farm: cannot write %s\n", cover_out.c_str());
-      return 2;
-    }
-    out << cover::FormatJson(merged);
-  }
+  if (have_cover && !WriteDoc(kTool, cover_out, cover::FormatJson(merged))) return 2;
 
   // Tally + gate. Waived trials are reported but never gate the exit code.
   std::uint64_t n_ok = 0, n_failed = 0, n_timeout = 0, n_cancelled = 0;
   std::uint64_t attempts_total = 0, n_waived = 0;
+  bool gated = chaos_totals.failures > 0;
+  std::vector<bool> waived(trials.size(), false);
   for (std::size_t i = 0; i < trials.size(); ++i) {
     attempts_total += results[i].attempts;
     switch (results[i].status) {
@@ -368,15 +298,10 @@ int main(int argc, char** argv) {
       case farm::TrialStatus::kTimeout: ++n_timeout; break;
       case farm::TrialStatus::kCancelled: ++n_cancelled; break;
     }
-    if (results[i].status != farm::TrialStatus::kOk &&
-        Waived(trials[i].id, waivers))
-      ++n_waived;
-  }
-  bool gated = chaos_totals.failures > 0;
-  for (std::size_t i = 0; i < trials.size(); ++i) {
-    if (results[i].status != farm::TrialStatus::kOk &&
-        !Waived(trials[i].id, waivers))
-      gated = true;
+    if (results[i].status == farm::TrialStatus::kOk) continue;
+    waived[i] = Waived(trials[i].id, waivers);
+    if (waived[i]) ++n_waived;
+    else gated = true;
   }
 
   // The craft-farm-v1 manifest. Spec-ordered and free of wall-clock data,
@@ -425,10 +350,7 @@ int main(int argc, char** argv) {
     w.Key("exit_code").I64(results[i].exit_code).Raw(", ");
     w.Key("attempts").U64(results[i].attempts).Raw(", ");
     w.Key("timed_out").Bool(results[i].timed_out).Raw(", ");
-    w.Key("waived")
-        .Bool(results[i].status != farm::TrialStatus::kOk &&
-              Waived(trials[i].id, waivers))
-        .Raw(", ");
+    w.Key("waived").Bool(waived[i]).Raw(", ");
     w.Key("artifact").String(trials[i].artifact).Raw("}");
   }
   w.Raw("\n  ],\n  ");
@@ -478,21 +400,13 @@ int main(int argc, char** argv) {
   w.Raw(",\n  ").Key("gated").Bool(gated);
   w.Raw("\n}\n");
 
-  {
-    std::ofstream out(manifest_path, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "craft_farm: cannot write %s\n",
-                   manifest_path.c_str());
-      return 2;
-    }
-    out << w.str();
-  }
+  if (!WriteDoc(kTool, manifest_path, w.str())) return 2;
 
   if (!quiet) {
     std::fprintf(stderr,
-                 "craft_farm: %zu trials: %llu ok, %llu failed, %llu timeout, "
+                 "%s: %zu trials: %llu ok, %llu failed, %llu timeout, "
                  "%llu cancelled (%llu waived), %llu attempts\n",
-                 trials.size(), static_cast<unsigned long long>(n_ok),
+                 kTool, trials.size(), static_cast<unsigned long long>(n_ok),
                  static_cast<unsigned long long>(n_failed),
                  static_cast<unsigned long long>(n_timeout),
                  static_cast<unsigned long long>(n_cancelled),
@@ -501,22 +415,24 @@ int main(int argc, char** argv) {
     if (have_cover) {
       const cover::Summary cs = cover::Summarize(merged);
       std::fprintf(stderr,
-                   "craft_farm: cover: %llu runs, %llu/%llu bins hit (%.1f%%) "
+                   "%s: cover: %llu runs, %llu/%llu bins hit (%.1f%%) "
                    "-> %s\n",
-                   static_cast<unsigned long long>(cs.runs),
+                   kTool, static_cast<unsigned long long>(cs.runs),
                    static_cast<unsigned long long>(cs.bins_hit),
                    static_cast<unsigned long long>(cs.bins), cs.pct(),
                    cover_out.c_str());
     }
     if (have_chaos) {
       std::fprintf(stderr,
-                   "craft_farm: chaos: %llu campaigns, %llu runs, %llu "
+                   "%s: chaos: %llu campaigns, %llu runs, %llu "
                    "failures\n",
-                   static_cast<unsigned long long>(chaos_totals.campaigns),
+                   kTool, static_cast<unsigned long long>(chaos_totals.campaigns),
                    static_cast<unsigned long long>(chaos_totals.runs),
                    static_cast<unsigned long long>(chaos_totals.failures));
     }
-    std::fprintf(stderr, "craft_farm: manifest -> %s\n", manifest_path.c_str());
+    std::fprintf(stderr, "%s: manifest -> %s\n", kTool, manifest_path.c_str());
   }
   return gated ? 1 : 0;
 }
+
+}  // namespace craft::driver

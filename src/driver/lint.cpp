@@ -1,28 +1,31 @@
-// craft_lint: elaborate the repo's reference designs and run the full
-// design-rule suite over each one — the "run after elaboration, before
-// simulation" step of the flow. Exits non-zero iff any design has findings
-// at or above the --fail-on threshold (default: error), so it can gate CI
-// while still publishing warnings.
+// craft lint / craft prove: the elaboration-time verbs. Both elaborate the
+// reference designs into fresh simulators (never Run()) and report:
 //
+//  * lint runs the full design-rule suite over each design and every HLS
+//    reference design, and exits 1 on findings at or above --fail-on
+//    (default: error), so it can gate CI while still publishing warnings;
+//  * prove runs the quantitative static analyses (capacity-aware deadlock
+//    feasibility, cycle-ratio throughput bounds, buffer-sizing and GALS
+//    rate-matching diagnostics) and exits 1 on a provable deadlock.
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "analyze/analyze.hpp"
+#include "driver/driver.hpp"
 #include "hls/designs.hpp"
 #include "hls/scheduler.hpp"
 #include "kernel/kernel.hpp"
 #include "lint/lint.hpp"
 #include "lint/ref_designs.hpp"
-#include "support/cli.hpp"
+
+namespace craft::driver {
 
 namespace {
 
-using namespace craft;
-
-constexpr const char kUsage[] =
-    "usage: craft_lint [--json[=FILE]] [--sarif=FILE] "
+constexpr const char kLintUsage[] =
+    "usage: craft lint [--json[=FILE]] [--sarif=FILE] "
     "[--suppress RULE[@GLOB]]... [--fail-on SEV] [--quiet]\n"
     "\n"
     "  --json            print the machine-readable report to stdout\n"
@@ -32,19 +35,17 @@ constexpr const char kUsage[] =
     "  --fail-on SEV     exit non-zero on findings at SEV or worse:\n"
     "                    error (default), warning, info, or none\n"
     "  --quiet           suppress per-design text blocks for clean designs\n";
+
+constexpr const char kProveUsage[] =
+    "usage: craft prove [--json[=FILE]] [--sarif=FILE] [--quiet]\n"
+    "\n"
+    "  --json            print the craft-prove-v1 JSON report to stdout\n"
+    "  --json=FILE       ... or write it to FILE\n"
+    "  --sarif=FILE      write findings as SARIF 2.1.0 for code-scanning upload\n"
+    "  --quiet           suppress per-design text blocks for clean designs\n";
+
 using lint::Finding;
-using lint::LintOptions;
-
 using Report = std::pair<std::string, std::vector<Finding>>;
-
-/// Schedules one HLS design under `c` and lints the result.
-Report LintHls(hls::DataflowGraph g, const hls::ScheduleConstraints& c,
-               const LintOptions& opts, std::vector<bool>* used) {
-  const hls::AreaModel model;
-  const hls::ScheduleResult r = hls::Schedule(g, model, c);
-  return {"hls:" + g.name(),
-          lint::ApplyOptions(lint::CheckSchedule(g, r, c), opts, used)};
-}
 
 void OrUsed(std::vector<bool>& acc, const std::vector<bool>& used) {
   if (acc.size() < used.size()) acc.resize(used.size(), false);
@@ -55,8 +56,9 @@ void OrUsed(std::vector<bool>& acc, const std::vector<bool>& used) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  LintOptions opts;
+int Lint(int argc, char** argv) {
+  constexpr const char* kTool = "craft lint";
+  lint::LintOptions opts;
   bool json = false;
   bool quiet = false;
   std::string json_path;
@@ -66,7 +68,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> suppress_specs;
   std::string fail_on_text;
 
-  cli::Parser p("craft_lint", kUsage);
+  cli::Parser p(kTool, kLintUsage);
   p.OptStr("--json", &json, &json_path);
   p.Str("--sarif", &sarif_path);
   p.StrList("--suppress", &suppress_specs);
@@ -83,9 +85,6 @@ int main(int argc, char** argv) {
 
   std::vector<Report> reports;
   std::vector<bool> used_any(opts.suppressions.size(), false);
-
-  // The prototype SoC configurations and the GALS pipeline (paper Fig. 5).
-  // Each design elaborates into a fresh simulator; lint never runs it.
   for (const lint::RefDesign& d : lint::ReferenceDesigns()) {
     Simulator sim;
     const auto handle = d.build(sim);
@@ -101,9 +100,11 @@ int main(int argc, char** argv) {
     hls::ScheduleConstraints shared_c;
     shared_c.max_multipliers = 2;
     shared_c.max_adders = 4;
-    std::vector<bool> used;
     auto hls_one = [&](hls::DataflowGraph g, const hls::ScheduleConstraints& c) {
-      reports.push_back(LintHls(std::move(g), c, opts, &used));
+      const hls::ScheduleResult r = hls::Schedule(g, hls::AreaModel{}, c);
+      std::vector<bool> used;
+      reports.emplace_back("hls:" + g.name(),
+                           lint::ApplyOptions(lint::CheckSchedule(g, r, c), opts, &used));
       OrUsed(used_any, used);
     };
     hls_one(hls::BuildDstLoopCrossbar(8, 32), free_c);
@@ -142,29 +143,60 @@ int main(int argc, char** argv) {
       std::fputs(lint::FormatText(design, findings).c_str(), text_out);
     }
   }
-  std::fprintf(text_out, "craft_lint: %zu designs, %d errors, %d warnings\n",
+  std::fprintf(text_out, "%s: %zu designs, %d errors, %d warnings\n", kTool,
                reports.size(), errors, warnings);
 
-  if (json) {
-    const std::string doc = lint::FormatJson(reports);
-    if (json_path.empty()) {
-      std::fputs(doc.c_str(), stdout);
-    } else {
-      std::ofstream out(json_path);
-      if (!out) {
-        std::fprintf(stderr, "craft_lint: cannot write %s\n", json_path.c_str());
-        return 2;
-      }
-      out << doc;
-    }
-  }
-  if (!sarif_path.empty()) {
-    std::ofstream out(sarif_path);
-    if (!out) {
-      std::fprintf(stderr, "craft_lint: cannot write %s\n", sarif_path.c_str());
-      return 2;
-    }
-    out << lint::FormatSarif("craft-lint", cli::kToolVersion, reports);
-  }
+  if (json && !WriteDoc(kTool, json_path, lint::FormatJson(reports))) return 2;
+  if (!sarif_path.empty() &&
+      !WriteDoc(kTool, sarif_path,
+                lint::FormatSarif("craft-lint", cli::kToolVersion, reports)))
+    return 2;
   return gating > 0 ? 1 : 0;
 }
+
+int Prove(int argc, char** argv) {
+  constexpr const char* kTool = "craft prove";
+  bool json = false;
+  bool quiet = false;
+  std::string json_path;
+  std::string sarif_path;
+
+  cli::Parser p(kTool, kProveUsage);
+  p.OptStr("--json", &json, &json_path);
+  p.Str("--sarif", &sarif_path);
+  p.Flag("--quiet", &quiet);
+  if (auto s = p.Parse(argc, argv); s != cli::Status::kContinue)
+    return cli::ExitCode(s);
+
+  std::vector<std::pair<std::string, analyze::Analysis>> reports;
+  std::vector<Report> sarif_in;
+  for (const lint::RefDesign& d : lint::ReferenceDesigns()) {
+    Simulator sim;
+    const auto handle = d.build(sim);
+    reports.emplace_back(d.name, analyze::Analyze(sim.design_graph()));
+    sarif_in.emplace_back(d.name, reports.back().second.findings);
+  }
+
+  std::FILE* text_out = (json && json_path.empty()) ? stderr : stdout;
+  int errors = 0;
+  int warnings = 0;
+  for (const auto& [design, a] : reports) {
+    errors += lint::ErrorCount(a.findings);
+    warnings += lint::CountAtOrAbove(a.findings, lint::Severity::kWarning) -
+                lint::ErrorCount(a.findings);
+    if (!quiet || lint::ErrorCount(a.findings) > 0) {
+      std::fputs(analyze::FormatText(design, a).c_str(), text_out);
+    }
+  }
+  std::fprintf(text_out, "%s: %zu designs, %d errors, %d warnings\n", kTool,
+               reports.size(), errors, warnings);
+
+  if (json && !WriteDoc(kTool, json_path, analyze::FormatJson(reports))) return 2;
+  if (!sarif_path.empty() &&
+      !WriteDoc(kTool, sarif_path,
+                lint::FormatSarif("craft-prove", cli::kToolVersion, sarif_in)))
+    return 2;
+  return errors > 0 ? 1 : 0;
+}
+
+}  // namespace craft::driver

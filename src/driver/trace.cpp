@@ -1,31 +1,29 @@
-// craft_trace: run SoC workloads with craft-trace (and craft-stats) enabled,
+// craft trace: run SoC workloads with craft-trace (and craft-stats) enabled,
 // export a Perfetto-loadable Chrome trace-event JSON (craft-trace-v1), and
 // print backpressure blame chains — the "why is this channel stalled"
 // root-cause report (DESIGN.md §8).
 //
-// Exits non-zero if any workload fails its golden check or the built-in
-// trace validation fails (unbalanced begin/end slices, span coverage below
-// 95% of the messages the stats registry counted, missing blame chains in
-// the presence of stalls) — a plain ctest invocation doubles as the
-// end-to-end tracing smoke test.
-#include <algorithm>
+// Exits 1 if any workload fails its golden check or the built-in trace
+// validation fails (unbalanced begin/end slices, span coverage below 95% of
+// the messages the stats registry counted, missing blame report), so a
+// plain ctest invocation doubles as the end-to-end tracing smoke test.
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "driver/driver.hpp"
 #include "kernel/kernel.hpp"
-#include "soc/workloads.hpp"
-#include "support/cli.hpp"
+#include "lint/ref_designs.hpp"
 #include "trace/trace.hpp"
+
+namespace craft::driver {
 
 namespace {
 
-using namespace craft;
-using namespace craft::literals;
+constexpr const char* kTool = "craft trace";
 
 constexpr const char kUsage[] =
-    "usage: craft_trace [--workload NAME]... [-o FILE] [--json[=FILE]] "
+    "usage: craft trace [--workload NAME]... [-o FILE] [--json[=FILE]] "
     "[--top N] [--sync] [--quiet]\n"
     "\n"
     "  --workload NAME   workload(s) to run; default: conv2d. \"all\" = all\n"
@@ -38,35 +36,22 @@ constexpr const char kUsage[] =
     "  --sync            single-clock mesh instead of the default GALS mesh\n"
     "  --quiet           suppress the human-readable blame tables\n";
 
-struct RunResult {
-  soc::WorkloadRun run;
+struct TraceRun {
   std::string trace_json;  // craft-trace-v1 (Chrome trace events)
   std::string blame_table;
   std::string blame_json;  // craft-trace-blame-v1
-  std::size_t chain_count = 0;
-  std::string top_root;    // root-cause track of the top chain
   std::uint64_t begins = 0, ends = 0, open = 0, dropped = 0;
   std::uint64_t channel_begins = 0, stats_enqueues = 0;
 };
 
-/// Runs one workload on a fresh simulator with BOTH registries enabled
-/// (stats provides the coverage cross-check denominator).
-RunResult RunOne(const soc::Workload& w, bool gals, std::size_t top_n) {
-  Simulator sim;
-  sim.stats().Enable();
-  sim.trace_events().Enable();
-  soc::SocConfig cfg;
-  cfg.gals = gals;
-  soc::SocTop soc(sim, cfg);
-  RunResult r;
-  r.run = soc::RunWorkload(soc, w, 50_ms);
+/// Harvests the trace documents and the slice accounting from a finished
+/// run with both registries on (stats provides the coverage denominator).
+TraceRun Harvest(const Simulator& sim, std::size_t top_n) {
+  TraceRun r;
   r.trace_json = trace::FormatChromeJson(sim);
   const auto chains = trace::AttributeBackpressure(sim, top_n);
   r.blame_table = trace::FormatTable(chains);
   r.blame_json = trace::FormatJson(sim, chains);
-  r.chain_count = chains.size();
-  if (!chains.empty()) r.top_root = chains.front().root_track();
-
   const TraceEventSink& sink = sim.trace_events();
   r.begins = sink.total_begins();
   r.ends = sink.total_ends();
@@ -97,12 +82,12 @@ std::uint64_t CountSubstr(const std::string& hay, const std::string& needle) {
   return n;
 }
 
-bool Validate(const RunResult& r, std::string* why) {
-  if (!r.run.ok) {
-    *why = "workload failed: " + r.run.error;
+bool Validate(const lint::ScenarioRun& run, const TraceRun& r, std::string* why) {
+  if (!run.ok) {
+    *why = "workload failed: " + run.error;
     return false;
   }
-  if (r.run.cycles == 0) {
+  if (run.cycles == 0) {
     *why = "workload reported zero cycles";
     return false;
   }
@@ -140,17 +125,9 @@ bool Validate(const RunResult& r, std::string* why) {
   return true;
 }
 
-std::string TracePathFor(const std::string& base, const std::string& workload,
-                         bool multiple) {
-  if (!multiple) return base;
-  const std::size_t dot = base.rfind('.');
-  if (dot == std::string::npos) return base + "." + workload;
-  return base.substr(0, dot) + "." + workload + base.substr(dot);
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int Trace(int argc, char** argv) {
   bool json = false;
   bool quiet = false;
   bool sync = false;
@@ -159,7 +136,7 @@ int main(int argc, char** argv) {
   std::string trace_path = "trace.json";
   std::vector<std::string> names;
 
-  cli::Parser p("craft_trace", kUsage);
+  cli::Parser p(kTool, kUsage);
   p.OptStr("--json", &json, &json_path);
   p.StrList("--workload", &names);
   p.Alias("-w", "--workload");
@@ -171,72 +148,53 @@ int main(int argc, char** argv) {
   if (auto st = p.Parse(argc, argv); st != cli::Status::kContinue)
     return cli::ExitCode(st);
   if (names.empty()) names.emplace_back("conv2d");
-  const bool gals = !sync;
-
   std::vector<soc::Workload> selected;
-  for (const soc::Workload& w : soc::AllWorkloads()) {
-    const bool all = std::find(names.begin(), names.end(), "all") != names.end();
-    if (all || std::find(names.begin(), names.end(), w.name) != names.end()) {
-      selected.push_back(w);
-    }
-  }
-  if (selected.empty()) {
-    std::fprintf(stderr, "craft_trace: no workload matched\n");
-    return 2;
-  }
+  if (const std::string err = lint::SelectWorkloads(names, &selected); !err.empty())
+    return cli::ExitCode(p.UsageError(err));
+  lint::RefDesign design;
+  std::string unused;
+  lint::Resolve(sync ? "soc_sync_2x2" : "soc_gals_2x2", &design, &unused);
 
   std::FILE* text_out = (json && json_path.empty()) ? stderr : stdout;
-  std::vector<RunResult> results;
+  std::string doc = "{\n  \"schema\": \"craft-trace-blame-run-v1\",\n  \"workloads\": [\n";
   int failures = 0;
-  for (const soc::Workload& w : selected) {
-    RunResult r = RunOne(w, gals, static_cast<std::size_t>(top_n));
+  for (std::size_t i = 0; i < selected.size(); ++i) {
+    TraceRun r;
+    lint::RunSpec spec;
+    spec.workload = selected[i].name;
+    spec.arm = [](Simulator& sim) { sim.trace_events().Enable(); };
+    spec.finished = [&](Simulator& sim, soc::SocTop*, const lint::ScenarioRun&) {
+      r = Harvest(sim, static_cast<std::size_t>(top_n));
+    };
+    const lint::ScenarioRun run = lint::RunScenario(design, spec);
     std::string why;
-    const bool valid = Validate(r, &why);
+    const bool valid = Validate(run, r, &why);
     if (!valid) ++failures;
-    const std::string path = TracePathFor(trace_path, w.name, selected.size() > 1);
-    std::ofstream out(path, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "craft_trace: cannot write %s\n", path.c_str());
-      return 2;
-    }
-    out << r.trace_json;
-    out.close();
+    const std::string path = selected.size() > 1
+                                 ? trace::PathForWorkload(trace_path, run.name)
+                                 : trace_path;
+    if (!WriteDoc(kTool, path, r.trace_json)) return 2;
     if (!quiet) {
       std::fprintf(text_out,
                    "==== workload %s: %s (%llu cycles) ====\n"
                    "trace: %s (%llu slices, %llu truncated-open, %llu dropped)\n%s\n",
-                   r.run.name.c_str(), valid ? "ok" : why.c_str(),
-                   static_cast<unsigned long long>(r.run.cycles), path.c_str(),
+                   run.name.c_str(), valid ? "ok" : why.c_str(),
+                   static_cast<unsigned long long>(run.cycles), path.c_str(),
                    static_cast<unsigned long long>(r.begins),
                    static_cast<unsigned long long>(r.open),
                    static_cast<unsigned long long>(r.dropped),
                    r.blame_table.c_str());
     } else if (!valid) {
-      std::fprintf(text_out, "craft_trace: %s: %s\n", r.run.name.c_str(), why.c_str());
+      std::fprintf(text_out, "%s: %s: %s\n", kTool, run.name.c_str(), why.c_str());
     }
-    results.push_back(std::move(r));
+    doc += r.blame_json + (i + 1 < selected.size() ? ",\n" : "\n");
   }
-  std::fprintf(text_out, "craft_trace: %zu workloads, %d failures\n",
-               results.size(), failures);
+  std::fprintf(text_out, "%s: %zu workloads, %d failures\n", kTool,
+               selected.size(), failures);
 
-  if (json) {
-    std::string doc = "{\n  \"schema\": \"craft-trace-blame-run-v1\",\n  \"workloads\": [\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      doc += results[i].blame_json;
-      if (i + 1 < results.size()) doc += ",";
-      doc += "\n";
-    }
-    doc += "  ]\n}\n";
-    if (json_path.empty()) {
-      std::fputs(doc.c_str(), stdout);
-    } else {
-      std::ofstream out(json_path);
-      if (!out) {
-        std::fprintf(stderr, "craft_trace: cannot write %s\n", json_path.c_str());
-        return 2;
-      }
-      out << doc;
-    }
-  }
+  doc += "  ]\n}\n";
+  if (json && !WriteDoc(kTool, json_path, doc)) return 2;
   return failures > 0 ? 1 : 0;
 }
+
+}  // namespace craft::driver

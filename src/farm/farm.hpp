@@ -1,5 +1,5 @@
 // craft-farm: the multi-process campaign orchestrator (DESIGN.md §14). The
-// craft_* tools each run ONE trial per invocation; the farm expands a matrix
+// craft verbs each run ONE trial per invocation; the farm expands a matrix
 // spec (workload × seed × parallelism × chaos plan × instrument set) into a
 // trial list and runs it across a worker pool of forked tool processes, with
 // per-trial wall-clock timeouts, bounded retries with backoff, and fail-fast

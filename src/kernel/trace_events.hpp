@@ -17,7 +17,7 @@
 // cycle of a blocking Push (or rejected PushNB) on channel A samples what
 // A's consumer process is itself blocked on, accumulating "blame" edges
 // A -> B. Walking the largest-share edges yields the blame chain reported
-// by craft_trace. Reporters live in src/trace (trace::FormatChromeJson
+// by `craft trace`. Reporters live in src/trace (trace::FormatChromeJson
 // exports Chrome trace-event JSON loadable in Perfetto, schema
 // craft-trace-v1, documented in DESIGN.md §8).
 #pragma once

@@ -1,4 +1,4 @@
-// SARIF 2.1.0 export, shared by craft_lint and craft_prove so CI can upload
+// SARIF 2.1.0 export, shared by `craft lint` and `craft prove` so CI can upload
 // both reports through github/codeql-action/upload-sarif and have findings
 // annotate pull requests.
 //

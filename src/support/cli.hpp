@@ -1,22 +1,22 @@
-// craft::cli — the shared argument parser behind every craft_* entrypoint.
+// craft::cli — the shared argument parser behind every `craft` verb.
 //
-// All eight tools accept the same flag grammar: `--name`, `--name VALUE`,
+// All eight verbs accept the same flag grammar: `--name`, `--name VALUE`,
 // `--name=VALUE`, optional-value flags (`--json` vs `--json=FILE`),
 // repeatable list flags, registered short aliases (`-o` → `--output`), and
 // bare positionals where a command takes input files. The parser owns the
-// repo-wide conventions so no main() re-implements them:
+// repo-wide conventions so no verb re-implements them:
 //
 //  * `--help` prints the usage block to stdout and exits 0;
 //  * `--version` prints "<tool> <version>" and exits 0;
 //  * unknown flags, malformed numbers and out-of-set choice values are a
 //    one-line stderr diagnostic followed by the usage block, exit 2;
-//  * every craft_* tool exits 0 on success, 1 on a gated finding (lint
-//    error, oracle failure, coverage regression, trial failure), 2 on
-//    usage/IO errors — see README "Exit codes".
+//  * every verb exits 0 on success, 1 on a gated finding (lint error,
+//    oracle failure, coverage regression, trial failure), 2 on usage/IO
+//    errors — see README "Exit codes".
 //
-// main() shape:
+// Verb shape (src/driver/):
 //
-//   cli::Parser p("craft_foo", kUsage);
+//   cli::Parser p("craft foo", kUsage);
 //   p.Flag("--quiet", &quiet);
 //   p.U64("--seed", &seed);
 //   if (auto s = p.Parse(argc, argv); s != cli::Status::kContinue)

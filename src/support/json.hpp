@@ -1,4 +1,4 @@
-// craft::json — the one JSON layer every craft_* tool shares.
+// craft::json — the one JSON layer every craft verb shares.
 //
 // Emission: `Escape`/`Quote` plus a byte-exact `Writer`. The repo's report
 // documents (craft-lint-v1, craft-chaos-v1, craft-cover-v1, ...) are golden-
@@ -8,8 +8,8 @@
 //
 // Parsing: a small recursive-descent parser for the subset the repo emits
 // (objects, arrays, strings with the escapes Escape produces, integers,
-// doubles, bools, null) preserving object field order. Used by craft_cover's
-// merge round-trip and craft_farm's manifest aggregation.
+// doubles, bools, null) preserving object field order. Used by craft-cover's
+// merge round-trip and craft-farm's manifest aggregation.
 #pragma once
 
 #include <cstdint>

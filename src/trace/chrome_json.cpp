@@ -159,4 +159,12 @@ std::string FormatChromeJson(const Simulator& sim) {
   return os.str();
 }
 
+std::string PathForWorkload(const std::string& base, const std::string& workload) {
+  const std::size_t slash = base.rfind('/');
+  const std::size_t name = slash == std::string::npos ? 0 : slash + 1;
+  const std::size_t dot = base.rfind('.');
+  if (dot == std::string::npos || dot <= name) return base + "." + workload;
+  return base.substr(0, dot) + "." + workload + base.substr(dot);
+}
+
 }  // namespace craft::trace

@@ -29,6 +29,12 @@ namespace craft::trace {
 /// (schema craft-trace-v1), loadable in Perfetto / chrome://tracing.
 std::string FormatChromeJson(const Simulator& sim);
 
+/// Where the trace of `workload` goes when one run writes several: the
+/// workload name is inserted before the extension of the last path
+/// component ("out.json" -> "out.conv2d.json", "dir.d/trace" ->
+/// "dir.d/trace.conv2d").
+std::string PathForWorkload(const std::string& base, const std::string& workload);
+
 /// One hop of a blame chain: the previous hop's blocked endpoint was
 /// waiting on this track.
 struct BlameLink {

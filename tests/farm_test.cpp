@@ -1,5 +1,5 @@
 // craft-farm tests: the trial scheduler library (timeouts, retries,
-// fail-fast vs keep-going, pool parallelism) and the craft_farm binary's
+// fail-fast vs keep-going, pool parallelism) and `craft farm`'s
 // jobs-invariance contract — manifest and merged cover database must be
 // byte-identical for --jobs 1 vs --jobs 4.
 #include <sys/stat.h>
@@ -173,9 +173,9 @@ TEST(FarmRun, ProgressStreamsOneLinePerAttempt) {
 }
 
 // ---------------------------------------------------------------------------
-// Binary: jobs-invariance and manifest reporting (the craft_farm CLI)
+// Binary: jobs-invariance and manifest reporting (`craft farm`)
 
-#ifdef CRAFT_FARM_BIN
+#ifdef CRAFT_BIN
 
 int RunCommand(const std::string& cmd) {
   const int st = std::system(cmd.c_str());
@@ -196,10 +196,10 @@ TEST(FarmCli, MergedOutputsByteIdenticalAcrossJobs) {
       " --seed 1 --seed 2 --seed 3 --parallelism 1 --parallelism 2"
       " --chaos none --chaos latency --instrument cover --instrument chaos"
       " --messages 8 --quiet";
-  ASSERT_EQ(RunCommand(std::string(CRAFT_FARM_BIN) + matrix +
+  ASSERT_EQ(RunCommand(std::string(CRAFT_BIN " farm") + matrix +
                        " --jobs 1 --out-dir " + dir1),
             0);
-  ASSERT_EQ(RunCommand(std::string(CRAFT_FARM_BIN) + matrix +
+  ASSERT_EQ(RunCommand(std::string(CRAFT_BIN " farm") + matrix +
                        " --jobs 4 --out-dir " + dir4),
             0);
 
@@ -223,7 +223,7 @@ TEST(FarmCli, HangingTrialTimedOutRetriedAndReported) {
   const std::string base = ::testing::TempDir();
   const std::string dir = base + "farm_hang";
   mkdir(dir.c_str(), 0777);
-  // A stand-in cover tool that hangs forever, installed via --cover-bin.
+  // A stand-in tool that hangs forever, installed via --bin.
   const std::string hang_bin = dir + "/hang.sh";
   {
     std::ofstream out(hang_bin);
@@ -231,9 +231,9 @@ TEST(FarmCli, HangingTrialTimedOutRetriedAndReported) {
   }
   chmod(hang_bin.c_str(), 0755);
   const int code = RunCommand(
-      std::string(CRAFT_FARM_BIN) +
+      std::string(CRAFT_BIN " farm") +
       " --design li_pipeline --seed 1 --parallelism 1 --chaos none"
-      " --cover-bin " + hang_bin +
+      " --bin " + hang_bin +
       " --timeout 0.3 --retries 2 --quiet --out-dir " + dir);
   EXPECT_EQ(code, 1);  // unwaived failure gates the farm
 
@@ -256,9 +256,9 @@ TEST(FarmCli, WaiverUngatesFailedTrial) {
   }
   chmod(fail_bin.c_str(), 0755);
   const std::string common =
-      std::string(CRAFT_FARM_BIN) +
+      std::string(CRAFT_BIN " farm") +
       " --design li_pipeline --seed 1 --parallelism 1 --chaos none"
-      " --cover-bin " + fail_bin + " --quiet --out-dir " + dir;
+      " --bin " + fail_bin + " --quiet --out-dir " + dir;
   EXPECT_EQ(RunCommand(common), 1);                       // gated
   EXPECT_EQ(RunCommand(common + " --waive 'cover/*'"), 0);  // prefix waiver
   const std::string manifest = ReadFileOrEmpty(dir + "/farm.json");
@@ -267,15 +267,15 @@ TEST(FarmCli, WaiverUngatesFailedTrial) {
 }
 
 TEST(FarmCli, BadAxisValueIsUsageError) {
-  EXPECT_EQ(RunCommand(std::string(CRAFT_FARM_BIN) +
+  EXPECT_EQ(RunCommand(std::string(CRAFT_BIN " farm") +
                        " --chaos sometimes --quiet 2>/dev/null"),
             2);
-  EXPECT_EQ(RunCommand(std::string(CRAFT_FARM_BIN) +
+  EXPECT_EQ(RunCommand(std::string(CRAFT_BIN " farm") +
                        " --parallelism 0 --quiet 2>/dev/null"),
             2);
 }
 
-#endif  // CRAFT_FARM_BIN
+#endif  // CRAFT_BIN
 
 }  // namespace
 }  // namespace craft

@@ -298,17 +298,32 @@ TEST(PulseReport, TimelineJsonHasSchemaAndReconciles) {
   EXPECT_EQ(om.rfind("# EOF\n"), om.size() - 6);
 }
 
-#ifdef CRAFT_PULSE_BIN
-// Out-of-range --parallelism is a usage error (exit 2), as in craft_cover
-// and craft_farm.
+#ifdef CRAFT_BIN
+// Out-of-range --parallelism is a usage error (exit 2) in every verb that
+// takes it: pulse, cover run and farm share one 1..64 range check.
 TEST(PulseCli, ParallelismOutOfRangeIsUsageError) {
-  for (const char* n : {"0", "65"}) {
-    const int st = std::system((std::string(CRAFT_PULSE_BIN) +
-                                " --quiet --parallelism " + n + " 2>/dev/null")
-                                   .c_str());
-    ASSERT_TRUE(WIFEXITED(st)) << n;
-    EXPECT_EQ(WEXITSTATUS(st), 2) << n;
+  for (const char* verb : {" pulse --quiet", " cover run", " farm --quiet"}) {
+    for (const char* n : {"0", "65"}) {
+      const int st = std::system((std::string(CRAFT_BIN) + verb +
+                                  " --parallelism " + n + " 2>/dev/null")
+                                     .c_str());
+      ASSERT_TRUE(WIFEXITED(st)) << verb << " " << n;
+      EXPECT_EQ(WEXITSTATUS(st), 2) << verb << " " << n;
+    }
   }
+}
+
+// The bounded LI pipeline drains well inside the default 1 us window: a run
+// that samples no window has reconciled nothing and fails; a shorter period
+// samples it.
+TEST(PulseCli, RunWithoutAWindowFails) {
+  const std::string base = std::string(CRAFT_BIN) + " pulse --quiet --design li_pipeline";
+  int st = std::system((base + " 2>/dev/null").c_str());
+  ASSERT_TRUE(WIFEXITED(st));
+  EXPECT_EQ(WEXITSTATUS(st), 1);
+  st = std::system((base + " --period 10000").c_str());
+  ASSERT_TRUE(WIFEXITED(st));
+  EXPECT_EQ(WEXITSTATUS(st), 0);
 }
 #endif
 

@@ -1,5 +1,5 @@
 // craft::cli / craft::json unit tests: the shared CLI grammar every
-// craft_* entrypoint parses with, and the one JSON layer all craft-*-v1
+// craft verb parses with, and the one JSON layer all craft-*-v1
 // emitters funnel through (hostile-string escaping included).
 #include <cstdint>
 #include <string>

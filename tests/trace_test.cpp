@@ -355,6 +355,16 @@ TEST(TraceChromeJson, StructureAndMetadata) {
 
 // ---------- VCD Tracer fixes ----------
 
+// With several workloads each trace file gets the workload name before the
+// extension of the file name only; a dot in a directory name or a leading
+// "./" is not an extension.
+TEST(TraceChromeJson, PathForWorkloadEditsOnlyTheFileName) {
+  EXPECT_EQ(trace::PathForWorkload("./trace", "vecmul"), "./trace.vecmul");
+  EXPECT_EQ(trace::PathForWorkload("dir.d/trace", "dot"), "dir.d/trace.dot");
+  EXPECT_EQ(trace::PathForWorkload("out.json", "conv2d"), "out.conv2d.json");
+  EXPECT_EQ(trace::PathForWorkload("dir.d/out.json", "dot"), "dir.d/out.dot.json");
+}
+
 TEST(Tracer, SanitizesHostileNamesAndEmitsHeaderAndInitialValues) {
   const std::string path = ::testing::TempDir() + "/craft_trace_vcd_test.vcd";
   {
