@@ -56,6 +56,28 @@ void BM_ClockOnlySimulation(benchmark::State& state) {
 }
 BENCHMARK(BM_ClockOnlySimulation);
 
+// A thread blocked in wait_until for 10k edges of an otherwise idle clock:
+// every edge dispatches it for one failed try of its condition. Per edge,
+// this is the cost of one blocked retry plus one clock edge
+// (BM_ClockOnlySimulation / 10k is the edge alone).
+void BM_BlockedRetry(benchmark::State& state) {
+  for (auto _ : state) {
+    state.PauseTiming();
+    Simulator sim;
+    Clock clk(sim, "clk", 1_ns);
+    Module top(sim, "top");
+    struct Tb : Module {
+      Tb(Module& p, Clock& clk) : Module(p, "tb") {
+        Thread("blocked", clk,
+               [&clk] { wait_until([&clk] { return clk.cycle() > 10'000; }); });
+      }
+    } tb(top, clk);
+    state.ResumeTiming();
+    sim.Run(10_us);  // 10k cycles
+  }
+}
+BENCHMARK(BM_BlockedRetry)->Apply(RepeatedMin);
+
 // kStats / kTrace compare the instrumentation overhead: the disabled
 // configuration must stay within noise (<5%) of the uninstrumented baseline
 // — both registries hand out nullptr and every site is one never-taken
@@ -360,6 +382,8 @@ int main(int argc, char** argv) {
   num("cover_enabled_overhead_pct_signal_accurate", sig_cover);
   gate(cover_enabled_gate);
   metrics.push_back(bj::Num("fiber_switch_ns", reporter.Get("BM_FiberSwitch")));
+  metrics.push_back(
+      bj::Num("blocked_retry_ns_per_edge", reporter.Get("BM_BlockedRetry") / 10'000.0));
   metrics.push_back(bj::Num("softfloat_muladd_ns", reporter.Get("BM_SoftFloatMulAdd")));
   bj::EmitJson("kernel_microbench", metrics);
   benchmark::Shutdown();

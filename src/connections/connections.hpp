@@ -105,7 +105,7 @@ class Channel : public Module {
     if (sim().mode() == SimMode::kSignalAccurate) {
       BuildSignalAccurate();
     } else {
-      clk_.AddEdgeHook([this] { CommitEdge(); }, /*priority=*/0);
+      clk_.AddEdgeHook([this] { CommitEdge(); });
     }
   }
 
@@ -242,7 +242,9 @@ class Channel : public Module {
       case ChannelKind::kBypass:
       case ChannelKind::kBuffer:
         // RTL ready: committed occupancy (incl. in-flight staged token) < cap.
-        if (q_.size() + (staged_.has_value() ? 1 : 0) >= capacity_) return false;
+        // A staged token always counts as full: one a chaos duplicate kept
+        // for the next edge must not be overwritten after a same-cycle pop.
+        if (staged_.has_value() || q_.size() >= capacity_) return false;
         staged_ = v;
         last_push_cycle_ = c;
         if (kind_ == ChannelKind::kBypass) data_event_.Notify();  // same-cycle DEQ
@@ -262,14 +264,18 @@ class Channel : public Module {
   }
 
   void SimPush(const T& v) {
-    while (!SimPushNBImpl(v)) {
+    wait_until([&] {
+      if (SimPushNBImpl(v)) return true;
       if (probe_) probe_->OnPushStall();
-      wait();
-    }
+      return false;
+    });
     if (probe_) probe_->OnEnqueue(occupancy());
     if (kind_ == ChannelKind::kCombinational) {
       // Rendezvous: hold the offer until the consumer takes it.
-      while (staged_.has_value()) wait(consumed_event());
+      wait_until([&](Event*& retry_on) {
+        retry_on = &consumed_event();
+        return !staged_.has_value();
+      });
     }
   }
 
@@ -321,18 +327,17 @@ class Channel : public Module {
 
   T SimPop() {
     T out{};
-    while (!SimPopNBImpl(out)) {
+    wait_until([&](Event*& retry_on) {
+      if (SimPopNBImpl(out)) return true;
       if (probe_ && !PeekAvailable()) probe_->OnPopStall();
+      // Same-cycle visibility: an empty combinational or bypass channel
+      // retries on an offer; a rate-limited or clocked one at the next edge.
       if ((kind_ == ChannelKind::kCombinational || kind_ == ChannelKind::kBypass) &&
           !PeekAvailable()) {
-        // Same-cycle visibility: wake on an offer within this timestep.
-        wait(data_event_);
-      } else {
-        // Data exists but this endpoint is rate-limited (or clocked kind):
-        // retry at the next posedge.
-        wait();
+        retry_on = &data_event_;
       }
-    }
+      return false;
+    });
     if (probe_) probe_->OnDequeue(occupancy());
     return out;
   }
@@ -361,8 +366,7 @@ class Channel : public Module {
       // stall mask, rolled lazily per cycle, applies to this cycle's
       // valid/ready.
       clk_.AddEdgeHook(
-          [this] { sig_->state_change.write(sig_->state_change.read() + 1); },
-          /*priority=*/-10);
+          [this] { sig_->state_change.write(sig_->state_change.read() + 1); });
     }
   }
 
@@ -476,9 +480,12 @@ class Channel : public Module {
   void SigPush(const T& v) {
     sig_->p_msg.write(v);
     sig_->p_valid.write(true);
-    for (wait(); !sig_->p_ready.read(); wait()) {
+    wait();
+    wait_until([&] {
+      if (sig_->p_ready.read()) return true;
       if (probe_) probe_->OnPushStall();
-    }
+      return false;
+    });
     sig_->p_valid.write(false);
   }
 
@@ -496,9 +503,12 @@ class Channel : public Module {
 
   T SigPop() {
     sig_->c_ready.write(true);
-    for (wait(); !sig_->c_valid.read(); wait()) {
+    wait();
+    wait_until([&] {
+      if (sig_->c_valid.read()) return true;
       if (probe_) probe_->OnPopStall();
-    }
+      return false;
+    });
     sig_->c_ready.write(false);
     return sig_->c_msg.read();
   }

@@ -119,23 +119,20 @@ class PausibleBisyncFifo : public Module {
       // n-invariance of the stats JSON; the timestamp read below is ordered
       // by the `full` acquire and gives the same answer sequential execution
       // would.
+      Slot& s = ring_[tail % kDepth];
       Time last_failed_poll = kTimeNever;
-      for (;;) {
-        Slot& s = ring_[tail % kDepth];
+      wait_until([&] {
         if (!s.full.load(std::memory_order_acquire) &&
             sim().now() >= s.freed.load(std::memory_order_relaxed) + sync_delay_)
-          break;
+          return true;
         last_failed_poll = sim().now();
         if (probe_) probe_->OnEnqWait();
-        wait();
-      }
-      if (probe_) {
-        // The slot is free and stays free (only this side fills it), so
-        // holding extra cycles here is indistinguishable from a longer
-        // arbitration pause: purely a latency fault.
-        for (unsigned h = probe_->EnqHoldCycles(); h > 0; --h) wait();
-      }
-      Slot& s = ring_[tail % kDepth];
+        return false;
+      });
+      // The slot is free and stays free (only this side fills it), so
+      // holding extra cycles here is indistinguishable from a longer
+      // arbitration pause: purely a latency fault.
+      if (probe_) wait(probe_->EnqHoldCycles());
       const bool paused = last_failed_poll != kTimeNever &&
                           last_failed_poll >= s.freed.load(std::memory_order_relaxed);
       s.value = v;
@@ -156,23 +153,19 @@ class PausibleBisyncFifo : public Module {
       // window is the case where the arbitration would have paused this
       // clock) so the count does not depend on when the producer worker's
       // store became visible.
+      Slot& s = ring_[head % kDepth];
       Time last_failed_poll = kTimeNever;
-      for (;;) {
-        Slot& s = ring_[head % kDepth];
+      wait_until([&] {
         if (s.full.load(std::memory_order_acquire) &&
-            sim().now() >=
-                s.published.load(std::memory_order_relaxed) + sync_delay_)
-          break;
+            sim().now() >= s.published.load(std::memory_order_relaxed) + sync_delay_)
+          return true;
         last_failed_poll = sim().now();
         if (probe_) probe_->OnDeqWait();
-        wait();
-      }
-      if (probe_) {
-        // Symmetric consumer-side storm; the slot stays full until freed
-        // below, so the hold only delays when the token crosses.
-        for (unsigned h = probe_->DeqHoldCycles(); h > 0; --h) wait();
-      }
-      Slot& s = ring_[head % kDepth];
+        return false;
+      });
+      // Symmetric consumer-side storm; the slot stays full until freed
+      // below, so the hold only delays when the token crosses.
+      if (probe_) wait(probe_->DeqHoldCycles());
       const T v = s.value;
       const Time published = s.published.load(std::memory_order_relaxed);
       const Time latency = sim().now() - published;

@@ -15,21 +15,10 @@ Clock::Clock(Simulator& sim, std::string name, Time period, Time first_edge)
 
 void Clock::AttachMethod(MethodProcess& m) { methods_.push_back(&m); }
 
-void Clock::AddEdgeHook(std::function<void()> fn, int priority) {
-  hooks_.push_back(Hook{priority, hook_seq_++, std::move(fn)});
-  hooks_dirty_ = true;
-}
-
 void Clock::Edge() {
   tl_sched_group = par_group_;
   ++cycle_;
-  if (hooks_dirty_) {
-    std::stable_sort(hooks_.begin(), hooks_.end(), [](const Hook& a, const Hook& b) {
-      return a.priority != b.priority ? a.priority < b.priority : a.seq < b.seq;
-    });
-    hooks_dirty_ = false;
-  }
-  for (Hook& h : hooks_) h.fn();
+  for (auto& hook : hooks_) hook();
   // Wake one-shot waiters (threads blocked in wait()). craft-chaos may defer
   // individual wakeups to the next edge — legal for LI designs, which must
   // tolerate a thread resuming late. Only these one-shot waiters are ever

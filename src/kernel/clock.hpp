@@ -4,10 +4,10 @@
 // partition owns a local clock generator with per-cycle period modulation.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "kernel/simulator.hpp"
@@ -40,10 +40,9 @@ class Clock {
   void set_period(Time p) { period_ = p; }
 
   /// Registers a hook run at every posedge *before* any process of that edge
-  /// is dispatched. Lower priority runs first. Sim-accurate Connections
-  /// channels use priority 0 commit hooks; statistics collectors use
-  /// priority 100.
-  void AddEdgeHook(std::function<void()> fn, int priority = 0);
+  /// is dispatched, in registration order (sim-accurate Connections commits,
+  /// signal-accurate chaos retriggers).
+  void AddEdgeHook(std::function<void()> fn) { hooks_.push_back(std::move(fn)); }
 
   /// Registers a thread to be resumed at the next posedge (one-shot).
   void AddWaiter(ProcessBase& p) { waiters_.push_back(&p); }
@@ -71,14 +70,7 @@ class Clock {
   std::uint64_t cycle_ = 0;
   unsigned par_group_ = 0;
 
-  struct Hook {
-    int priority;
-    std::uint64_t seq;
-    std::function<void()> fn;
-  };
-  std::vector<Hook> hooks_;
-  bool hooks_dirty_ = false;
-  std::uint64_t hook_seq_ = 0;
+  std::vector<std::function<void()>> hooks_;
 
   std::vector<ProcessBase*> waiters_;
   std::vector<ProcessBase*> methods_;

@@ -27,7 +27,7 @@ class Event {
   /// Wakes all waiters registered at fire time, `delay` picoseconds from now.
   void NotifyAfter(Time delay);
 
-  /// Registers a one-shot waiter (used by ThreadProcess::Wait(Event&)).
+  /// Registers a one-shot waiter (a thread parked in wait_until).
   void AddWaiter(ProcessBase& p) {
     CheckShard();
     waiters_.push_back(&p);

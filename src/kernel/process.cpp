@@ -1,5 +1,7 @@
 #include "kernel/process.hpp"
 
+#include <utility>
+
 #include "kernel/clock.hpp"
 #include "kernel/event.hpp"
 #include "kernel/report.hpp"
@@ -9,6 +11,12 @@ namespace craft {
 
 namespace {
 thread_local ThreadProcess* tl_current_thread = nullptr;
+
+ThreadProcess& CurrentThread(const char* call) {
+  ThreadProcess* t = ThreadProcess::Current();
+  CRAFT_ASSERT(t != nullptr, call << " called outside a thread process");
+  return *t;
+}
 }  // namespace
 
 ProcessBase::ProcessBase(Simulator& sim, std::string name)
@@ -32,6 +40,14 @@ void ThreadProcess::Dispatch() {
     ~Restore() { tl_current_thread = prev; }
   } restore{tl_current_thread};
   tl_current_thread = this;
+  if (cond_ != nullptr) {
+    try {
+      if (!TryCondition()) return;  // parked again; the fiber stays put
+    } catch (...) {
+      cond_error_ = std::current_exception();
+    }
+  }
+  ++fiber_resumes_;
   fiber_.resume();
 }
 
@@ -43,18 +59,53 @@ void ThreadProcess::Suspend() {
   tl_current_thread = this;
 }
 
-void ThreadProcess::Wait() {
-  clk_.AddWaiter(*this);
-  Suspend();
+void ThreadProcess::Park(Event* on) {
+  on != nullptr ? on->AddWaiter(*this) : clk_.AddWaiter(*this);
 }
 
+/// One try of the pending condition. On false the thread is parked for the
+/// next try; on true or a throw the wait is over.
+bool ThreadProcess::TryCondition() {
+  Event* retry_on = nullptr;
+  bool held;
+  try {
+    held = (*cond_)(retry_on);
+  } catch (...) {
+    cond_ = nullptr;
+    throw;
+  }
+  if (!held) {
+    Park(retry_on);
+    return false;
+  }
+  cond_ = nullptr;
+  return true;
+}
+
+void ThreadProcess::Wait() { Wait(1); }
+
 void ThreadProcess::Wait(unsigned n) {
-  for (unsigned i = 0; i < n; ++i) Wait();
+  WaitUntil([&n] { return n-- == 0; });
 }
 
 void ThreadProcess::Wait(Event& e) {
-  e.AddWaiter(*this);
+  bool notified = false;
+  WaitUntil([&](Event*& retry_on) {
+    retry_on = &e;
+    return std::exchange(notified, true);
+  });
+}
+
+void ThreadProcess::WaitUntil(ConditionRef cond) {
+  // Every wait comes here, and cond_ is set exactly while one is pending,
+  // so a wait from inside a condition's try finds it set.
+  CRAFT_ASSERT(cond_ == nullptr, "thread '" << name()
+                                            << "' blocked inside a wait_until condition; "
+                                               "a condition must not wait");
+  cond_ = &cond;
+  if (TryCondition()) return;
   Suspend();
+  if (cond_error_) std::rethrow_exception(std::exchange(cond_error_, nullptr));
 }
 
 MethodProcess::MethodProcess(Simulator& sim, std::string name, std::function<void()> body)
@@ -71,32 +122,14 @@ MethodProcess& MethodProcess::SetAffinity(Clock& clk) {
   return *this;
 }
 
-void wait() {
-  ThreadProcess* t = ThreadProcess::Current();
-  CRAFT_ASSERT(t != nullptr, "wait() called outside a thread process");
-  t->Wait();
-}
+void wait() { CurrentThread("wait()").Wait(); }
 
-void wait(unsigned n) {
-  ThreadProcess* t = ThreadProcess::Current();
-  CRAFT_ASSERT(t != nullptr, "wait(n) called outside a thread process");
-  t->Wait(n);
-}
+void wait(unsigned n) { CurrentThread("wait(n)").Wait(n); }
 
-void wait(Event& e) {
-  ThreadProcess* t = ThreadProcess::Current();
-  CRAFT_ASSERT(t != nullptr, "wait(Event) called outside a thread process");
-  t->Wait(e);
-}
+void wait(Event& e) { CurrentThread("wait(Event)").Wait(e); }
 
-void wait_until(const std::function<bool()>& pred) {
-  while (!pred()) wait();
-}
+void wait_until(ConditionRef cond) { CurrentThread("wait_until()").WaitUntil(cond); }
 
-std::uint64_t this_cycle() {
-  ThreadProcess* t = ThreadProcess::Current();
-  CRAFT_ASSERT(t != nullptr, "this_cycle() called outside a thread process");
-  return t->clock().cycle();
-}
+std::uint64_t this_cycle() { return CurrentThread("this_cycle()").clock().cycle(); }
 
 }  // namespace craft

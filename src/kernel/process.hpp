@@ -9,9 +9,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "kernel/fiber.hpp"
@@ -25,6 +27,31 @@ class Event;
 
 /// Sentinel for ProcessBase::trace_blocked_track: not blocked on any track.
 inline constexpr std::uint32_t kNoTraceTrack = 0xFFFF'FFFFu;
+
+/// A non-owning reference to a wait_until condition: a callable returning
+/// true once the wait is over, taking either nothing or an `Event*&
+/// retry_on`. A false try is retried at the thread's next posedge, or when
+/// the Event the condition stored in `retry_on` is notified (it starts each
+/// try as nullptr). The referenced callable must outlive the wait, which a
+/// lambda passed straight to wait_until always does.
+class ConditionRef {
+ public:
+  template <class F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, ConditionRef>)
+  ConditionRef(F&& f)  // implicit, so a lambda converts at the call
+      : obj_(const_cast<void*>(static_cast<const void*>(&f))),
+        test_([](void* obj, Event*& retry_on) -> bool {
+          auto& fn = *static_cast<std::remove_reference_t<F>*>(obj);
+          if constexpr (std::is_invocable_v<decltype(fn), Event*&>) return fn(retry_on);
+          else return fn();
+        }) {}
+
+  bool operator()(Event*& retry_on) const { return test_(obj_, retry_on); }
+
+ private:
+  void* obj_;
+  bool (*test_)(void*, Event*&);
+};
 
 /// Common base for thread and method processes.
 class ProcessBase {
@@ -86,17 +113,36 @@ class ThreadProcess : public ProcessBase {
   /// Suspends until the next posedge of this process's clock.
   void Wait();
 
-  /// Suspends for n posedges.
+  /// Suspends for n posedges (one suspension; the edges are counted by the
+  /// scheduler).
   void Wait(unsigned n);
 
   /// Suspends until `e` is notified (possibly in the same timestep).
   void Wait(Event& e);
 
+  /// Returns once `cond` holds; every Wait above is one. The first try runs
+  /// here, on the fiber; every later try runs in this thread's dispatch slot
+  /// on the scheduler, which resumes the fiber only once the condition
+  /// holds. A condition must not block: wait() inside one raises a SimError.
+  void WaitUntil(ConditionRef cond);
+
+  /// Times the scheduler resumed this thread's fiber.
+  std::uint64_t fiber_resumes() const { return fiber_resumes_; }
+
  private:
+  void Park(Event* on);
+  bool TryCondition();
   void Suspend();
 
   Clock& clk_;
   Fiber fiber_;
+  std::uint64_t fiber_resumes_ = 0;
+
+  // The pending wait_until's condition, if any, and an exception one of its
+  // scheduler-side tries threw, rethrown on the fiber so it surfaces
+  // exactly as one thrown by the body.
+  const ConditionRef* cond_ = nullptr;
+  std::exception_ptr cond_error_;
 };
 
 /// A non-blocking callback process, re-run on each trigger.
@@ -138,8 +184,8 @@ void wait(unsigned n);
 /// Suspends until `e` is notified.
 void wait(Event& e);
 
-/// Spins (one clock per check) until pred() is true.
-void wait_until(const std::function<bool()>& pred);
+/// Blocks the current thread until `cond` holds (ThreadProcess::WaitUntil).
+void wait_until(ConditionRef cond);
 
 /// Cycle count of the current thread's clock.
 std::uint64_t this_cycle();

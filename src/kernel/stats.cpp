@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iomanip>
 #include <sstream>
+#include <tuple>
 #include <vector>
 
 #include "kernel/process.hpp"
@@ -102,11 +103,12 @@ std::string FormatTable(const Simulator& sim) {
   os << "  time " << sim.now() << " ps | deltas " << sim.delta_count() << " | timed events "
      << sim.timed_fired() << " | dispatches " << sim.dispatch_count() << "\n";
 
-  Rule(os, "processes (top 10 by wall time)");
+  // Dispatch counts, unlike wall time, rank the rows the same on every run.
+  Rule(os, "processes (top 10 by dispatches)");
   std::vector<const ProcessBase*> procs;
   for (const auto& p : sim.processes()) procs.push_back(p.get());
-  std::stable_sort(procs.begin(), procs.end(), [](const ProcessBase* a, const ProcessBase* b) {
-    return a->stat_wall_ns > b->stat_wall_ns;
+  std::sort(procs.begin(), procs.end(), [](const ProcessBase* a, const ProcessBase* b) {
+    return std::tie(b->stat_dispatches, a->name()) < std::tie(a->stat_dispatches, b->name());
   });
   std::size_t shown = 0;
   for (const ProcessBase* p : procs) {

@@ -110,10 +110,7 @@ class ControllerNode : public Module {
 
   void RunCpu() {
     for (;;) {
-      if (cpu_.halted()) {
-        wait();
-        continue;
-      }
+      wait_until([this] { return !cpu_.halted(); });
       cpu_.cycle_csr = ThreadProcess::Current()->clock().cycle();
       cpu_.Step(bus_);
       wait();  // one instruction per cycle (remote accesses add NoC time)

@@ -49,17 +49,12 @@ class GlobalMemory : public Module {
  private:
   void RunIssue() {
     for (;;) {
-      if (!src_fifo_.Full()) {
-        NetReq nr;
-        if (req_rx_.PopNB(nr)) {
-          matchlib::MemReq mr = nr.req;
-          mr.id = nr.src;
-          src_fifo_.Push(nr.src);
-          sp_req_ch_push(mr);
-          continue;
-        }
-      }
-      wait();
+      NetReq nr;
+      wait_until([&] { return !src_fifo_.Full() && req_rx_.PopNB(nr); });
+      matchlib::MemReq mr = nr.req;
+      mr.id = nr.src;
+      src_fifo_.Push(nr.src);
+      sp_req_ch_push(mr);
     }
   }
 

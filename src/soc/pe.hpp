@@ -203,7 +203,10 @@ class ProcessingElement : public Module {
 
   void RunControl() {
     for (;;) {
-      while (csrs_[kCsrStatus] != 1) wait(start_event_);
+      wait_until([this](Event*& retry_on) {
+        retry_on = &start_event_;
+        return csrs_[kCsrStatus] == 1;
+      });
       const std::uint64_t busy_from = clk_.cycle();
       const std::uint64_t exec_span =
           trace_ ? trace_->BeginActivity(csrs_[kCsrCmd]) : 0;

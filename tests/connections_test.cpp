@@ -237,6 +237,35 @@ TEST(BufferChannel, EnqueueToVisibleLatencyIsOneCycle) {
   EXPECT_LE(pop_cycle - push_cycle, 1u);
 }
 
+// A Pop blocked on an empty Buffer is retried by the scheduler at every
+// edge without resuming the consumer's fiber: it resumes once, when the
+// token is there. Dispatches and stall cycles stay those of a per-edge
+// retry loop on the fiber.
+TEST(BufferChannel, BlockedPopResumesFiberOnce) {
+  Simulator sim;
+  sim.stats().Enable();
+  Clock clk(sim, "clk", 1_ns);
+  Module top(sim, "top");
+  Buffer<int> ch(top, "ch", clk, 2);
+  struct B : Module {
+    ThreadProcess* cons = nullptr;
+    int got = 0;
+    B(Module& p, Clock& clk, Buffer<int>& ch) : Module(p, "b") {
+      cons = &Thread("cons", clk, [this, &ch] { got = ch.Pop(); });
+      Thread("prod", clk, [&ch] {
+        wait(10);
+        ch.Push(7);
+      });
+    }
+  } b(top, clk, ch);
+  sim.Run(30_ns);
+  EXPECT_EQ(b.got, 7);
+  EXPECT_TRUE(b.cons->done());
+  EXPECT_EQ(b.cons->fiber_resumes(), 2u);  // the start, and the end of the wait
+  EXPECT_EQ(b.cons->stat_dispatches, 12u);
+  EXPECT_EQ(sim.stats().channels().at("top.ch").empty_stall_cycles, 11u);
+}
+
 TEST(CombinationalChannel, SameCycleRendezvousInSimAccurateMode) {
   Simulator sim;
   Clock clk(sim, "clk", 1_ns);
@@ -454,6 +483,27 @@ TEST(ChannelChaos, SignalAccurateCorruptionIsReported) {
   EXPECT_NE(sim.chaos().config_warnings()[0].find("top.ch"), std::string::npos);
   EXPECT_NE(sim.chaos().config_warnings()[0].find("signal-accurate"),
             std::string::npos);
+}
+
+// A duplicate commit keeps the staged token for the next edge. When the
+// consumer (created first, so dispatched first) pops earlier in that cycle,
+// the producer's push must be refused rather than overwrite the kept token.
+TEST(ChannelChaos, DuplicateCommitSurvivesSameCyclePop) {
+  Simulator sim;
+  FaultPlan plan;
+  plan.corruptions.push_back(
+      CorruptionFault{"top.ch", 3, CorruptionFault::Kind::kDuplicate, 0});
+  sim.chaos().Enable(plan);
+  Clock clk(sim, "clk", 1_ns);
+  Module top(sim, "top");
+  Buffer<int> ch(top, "ch", clk, 2);
+  Consumer cons(top, "cons", clk, 11);
+  Producer prod(top, "prod", clk, 10);
+  prod.out(ch);
+  cons.in(ch);
+  sim.Run(1000_ns);
+  EXPECT_EQ(sim.chaos().Injections().size(), 1u);
+  EXPECT_EQ(cons.received, (std::vector<int>{0, 1, 2, 3, 3, 4, 5, 6, 7, 8, 9}));
 }
 
 // ---------- packetizer / depacketizer ----------

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -31,10 +32,12 @@ std::string ReadFileOrEmpty(const std::string& path) {
   return ss.str();
 }
 
-/// Runs `craft ARGS`, capturing stdout and stderr into files; returns the
-/// exit code.
+/// Runs `craft ARGS`, capturing stdout and stderr into files named after
+/// the running test (ctest runs the cases in parallel); returns the exit
+/// code.
 int Craft(const std::string& args, std::string* out, std::string* err) {
-  const std::string base = ::testing::TempDir() + "driver_test";
+  const std::string base = ::testing::TempDir() + "driver_test." +
+                           ::testing::UnitTest::GetInstance()->current_test_info()->name();
   const int code = RunCommand(std::string(CRAFT_BIN) + args + " >" + base +
                               ".out 2>" + base + ".err");
   *out = ReadFileOrEmpty(base + ".out");
@@ -70,6 +73,34 @@ TEST(Driver, EveryVerbHelpExitsZero) {
     EXPECT_EQ(Craft(std::string(" ") + verb + " --help", &out, &err), 0) << verb;
     EXPECT_EQ(out.rfind(std::string("usage: craft ") + verb, 0), 0u) << verb;
   }
+}
+
+/// The process rows of a `craft stats` text report, wall-time column cut.
+std::vector<std::string> ProcessRows(const std::string& report) {
+  std::vector<std::string> rows;
+  std::istringstream in(report);
+  bool in_section = false;
+  for (std::string line; std::getline(in, line);) {
+    if (line.find("processes (top 10 by dispatches)") != std::string::npos) {
+      in_section = true;
+    } else if (in_section && line.find(" dispatches ") != std::string::npos) {
+      rows.push_back(line.substr(0, line.find("  wall ")));
+    } else if (in_section) {
+      break;
+    }
+  }
+  return rows;
+}
+
+// The text report ranks processes by their deterministic dispatch counts
+// (ties by name), so two runs list the same processes in the same order.
+TEST(Driver, StatsTextProcessRowsAreDeterministic) {
+  std::string first, second, err;
+  ASSERT_EQ(Craft(" stats --workload dot", &first, &err), 0) << err;
+  ASSERT_EQ(Craft(" stats --workload dot", &second, &err), 0) << err;
+  const std::vector<std::string> rows = ProcessRows(first);
+  EXPECT_EQ(rows.size(), 10u) << first;
+  EXPECT_EQ(ProcessRows(second), rows);
 }
 
 // Every verb writes its documents through one checked helper: a write that

@@ -212,14 +212,14 @@ TEST(Clock, FirstEdgeDefaultsToOnePeriod) {
   EXPECT_EQ(clk.cycle(), 1u);
 }
 
-TEST(Clock, EdgeHooksRunInPriorityOrder) {
+TEST(Clock, EdgeHooksRunInRegistrationOrder) {
   Simulator sim;
   Clock clk(sim, "clk", 1_ns);
   std::vector<int> order;
-  clk.AddEdgeHook([&] { order.push_back(2); }, 10);
-  clk.AddEdgeHook([&] { order.push_back(1); }, 0);
-  sim.Run(1_ns);
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  clk.AddEdgeHook([&] { order.push_back(2); });
+  clk.AddEdgeHook([&] { order.push_back(1); });
+  sim.Run(2_ns);
+  EXPECT_EQ(order, (std::vector<int>{2, 1, 2, 1}));
 }
 
 TEST(Clock, MultipleIndependentClockDomains) {
@@ -262,8 +262,9 @@ TEST(Thread, WaitNSkipsNCycles) {
     using Module::Module;
   } h(top, "h");
   struct Builder : Module {
+    ThreadProcess* t = nullptr;
     Builder(Module& p, Clock& clk, std::uint64_t& out) : Module(p, "b") {
-      Thread("t", clk, [&out] {
+      t = &Thread("t", clk, [&out] {
         wait(7);
         out = this_cycle();
       });
@@ -271,6 +272,10 @@ TEST(Thread, WaitNSkipsNCycles) {
   } b(top, clk, end_cycle);
   sim.Run(20_ns);
   EXPECT_EQ(end_cycle, 7u);
+  // One suspension: the scheduler counts the edges, dispatching the thread
+  // at each, and resumes the fiber once after its start.
+  EXPECT_EQ(b.t->stat_dispatches, 8u);
+  EXPECT_EQ(b.t->fiber_resumes(), 2u);
 }
 
 TEST(Thread, ThrowingBodyLeavesNoCurrentThread) {
@@ -290,6 +295,91 @@ TEST(Thread, ThrowingBodyLeavesNoCurrentThread) {
     EXPECT_EQ(ThreadProcess::Current(), nullptr);
   }
   EXPECT_EQ(ThreadProcess::Current(), nullptr);
+}
+
+// A wait_until condition that blocks raises a SimError, on its first try
+// (which runs on the fiber) and on a later one (which runs in the
+// scheduler, where a real suspension would have nowhere to return to).
+TEST(WaitUntil, WaitInsideConditionRaises) {
+  for (const int blocking_try : {1, 3}) {
+    Simulator sim;
+    Clock clk(sim, "clk", 1_ns);
+    Module top(sim, "top");
+    struct B : Module {
+      B(Module& p, Clock& clk, int blocking_try) : Module(p, "b") {
+        Thread("t", clk, [blocking_try] {
+          int tries = 0;
+          wait_until([&] {
+            if (++tries < blocking_try) return false;
+            wait();
+            return true;
+          });
+        });
+      }
+    } b(top, clk, blocking_try);
+    try {
+      sim.Run(10_ns);
+      ADD_FAILURE() << "no SimError on try " << blocking_try;
+    } catch (const SimError& e) {
+      EXPECT_NE(std::string(e.what()).find("inside a wait_until condition"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(ThreadProcess::Current(), nullptr);
+  }
+}
+
+// A condition that throws on a scheduler-side try surfaces exactly as a
+// throwing thread body does: the exception leaves Run, the thread's stack
+// unwinds and the thread is done, no current thread is left behind, and a
+// later Run carries on with the other processes.
+TEST(WaitUntil, ThrowingConditionSurfacesLikeABodyThrow) {
+  Simulator sim;
+  Clock clk(sim, "clk", 1_ns);
+  Module top(sim, "top");
+  struct B : Module {
+    ThreadProcess* thrower = nullptr;
+    int unwound = 0;
+    std::uint64_t ticks = 0;
+    B(Module& p, Clock& clk) : Module(p, "b") {
+      Thread("ticker", clk, [this] {
+        for (;;) {
+          wait();
+          ++ticks;
+        }
+      });
+      thrower = &Thread("thrower", clk, [this] {
+        struct Guard {
+          int& n;
+          ~Guard() { ++n; }
+        } guard{unwound};
+        wait_until([] {
+          if (this_cycle() < 3) return false;
+          throw std::runtime_error("condition failed");
+        });
+      });
+    }
+  } b(top, clk);
+  EXPECT_THROW(sim.Run(10_ns), std::runtime_error);
+  EXPECT_EQ(ThreadProcess::Current(), nullptr);
+  EXPECT_EQ(clk.cycle(), 3u);
+  EXPECT_EQ(b.ticks, 3u);
+  EXPECT_EQ(b.unwound, 1);
+  EXPECT_TRUE(b.thrower->done());
+  sim.Run(5_ns);
+  EXPECT_GT(b.ticks, 3u);
+}
+
+// SimError messages name the raising source file relative to the
+// repository root, whatever directory the checkout was built in.
+TEST(SimErrorText, NamesRepoRelativeSourcePath) {
+  Simulator sim;
+  try {
+    sim.SetParallelism(0);
+    FAIL() << "no SimError";
+  } catch (const SimError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("src/kernel/simulator.cpp:", 0), 0u) << e.what();
+  }
 }
 
 TEST(Signal, WriteVisibleOnlyAfterUpdatePhase) {
