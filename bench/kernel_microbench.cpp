@@ -78,6 +78,28 @@ void BM_BlockedRetry(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockedRetry)->Apply(RepeatedMin);
 
+// An uninstrumented Buffer pop blocked for 10k edges of an otherwise idle
+// clock. The edge tries the pop's readiness test in place of a dispatch, so
+// a blocked edge costs one test plus the edge; the bench JSON reports it
+// per edge (blocked_pop_ns_per_edge), next to BM_BlockedRetry's.
+void BM_BlockedPop(benchmark::State& state) {
+  for (auto _ : state) {
+    state.PauseTiming();
+    Simulator sim;
+    Clock clk(sim, "clk", 1_ns);
+    Module top(sim, "top");
+    connections::Buffer<int> ch(top, "ch", clk, 2);
+    struct Tb : Module {
+      Tb(Module& p, Clock& clk, connections::Buffer<int>& ch) : Module(p, "tb") {
+        Thread("blocked", clk, [&ch] { benchmark::DoNotOptimize(ch.Pop()); });
+      }
+    } tb(top, clk, ch);
+    state.ResumeTiming();
+    sim.Run(10_us);  // 10k cycles
+  }
+}
+BENCHMARK(BM_BlockedPop)->Apply(RepeatedMin);
+
 // kStats / kTrace compare the instrumentation overhead: the disabled
 // configuration must stay within noise (<5%) of the uninstrumented baseline
 // — both registries hand out nullptr and every site is one never-taken
@@ -384,6 +406,8 @@ int main(int argc, char** argv) {
   metrics.push_back(bj::Num("fiber_switch_ns", reporter.Get("BM_FiberSwitch")));
   metrics.push_back(
       bj::Num("blocked_retry_ns_per_edge", reporter.Get("BM_BlockedRetry") / 10'000.0));
+  metrics.push_back(
+      bj::Num("blocked_pop_ns_per_edge", reporter.Get("BM_BlockedPop") / 10'000.0));
   metrics.push_back(bj::Num("softfloat_muladd_ns", reporter.Get("BM_SoftFloatMulAdd")));
   bj::EmitJson("kernel_microbench", metrics);
   benchmark::Shutdown();

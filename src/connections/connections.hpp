@@ -95,7 +95,7 @@ class Channel : public Module {
     sim().design_graph().AddChannel(DesignGraph::ChannelNode{
         full_name(), ToString(kind_), capacity_,
         /*zero_storage=*/kind_ == ChannelKind::kCombinational, &clk_, clk_.name(),
-        clk_.period(), latency_cycles});
+        clk_.period(), latency_cycles, &transfers_});
     // nullptr unless stats, trace, cover or a chaos plan covers this
     // channel, so the uninstrumented cost is one never-taken branch per
     // hook. The probe's chaos stalls drive both Connections models (paper
@@ -327,6 +327,16 @@ class Channel : public Module {
 
   T SimPop() {
     T out{};
+    if (PopTriedAtEdge()) {
+      // The edge tries the readiness test in place; the pop itself runs
+      // here, in the thread's dispatch slot. Without a probe a pop fails
+      // only when readiness does, so the loop repeats only if another
+      // consumer of this channel took the token first.
+      do {
+        wait_until_at_edge([this] { return !q_.empty() && last_pop_cycle_ != clk_.cycle(); });
+      } while (!SimPopNBImpl(out));
+      return out;
+    }
     wait_until([&](Event*& retry_on) {
       if (SimPopNBImpl(out)) return true;
       if (probe_ && !PeekAvailable()) probe_->OnPopStall();
@@ -340,6 +350,19 @@ class Channel : public Module {
     });
     if (probe_) probe_->OnDequeue(occupancy());
     return out;
+  }
+
+  /// Whether a blocking pop may be retried at the popping thread's clock
+  /// edge instead of dispatching it. Only a Buffer or Pipeline fills its
+  /// queue, and only at its own clock's edge hook, so on that clock the
+  /// readiness the edge sees holds until the thread's dispatch slot. A
+  /// probed channel keeps the dispatch path: a failed try is an observed
+  /// stall cycle there.
+  bool PopTriedAtEdge() const {
+    if (probe_ || (kind_ != ChannelKind::kBuffer && kind_ != ChannelKind::kPipeline))
+      return false;
+    const ThreadProcess* t = ThreadProcess::Current();
+    return t != nullptr && &t->clock() == &clk_;
   }
 
   Event& consumed_event() { return space_event_; }

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "connections/connections.hpp"
 #include "kernel/bits.hpp"
@@ -101,11 +102,14 @@ class Packetizer : public Module {
 
  private:
   void Run() {
+    // Reused for every message, so a packet allocates nothing.
+    BitStream bits;
+    std::vector<std::uint64_t> flits;
     for (;;) {
       const T msg = in.Pop();
-      BitStream bits;
+      bits.Clear();
       Marshal<T>::Write(bits, msg);
-      const auto flits = bits.ToFlits(kFlitBits);
+      bits.ToFlits(kFlitBits, flits);
       if (probe_) probe_->OnMessage(flits.size());
       const std::uint8_t dest = route_(msg);
       for (std::size_t i = 0; i < flits.size(); ++i) {
@@ -155,7 +159,9 @@ class DePacketizer : public Module {
   using Framing = PacketizerProbe::Framing;
 
   void Run() {
+    // Reused for every message, so reassembly allocates nothing.
     std::vector<std::uint64_t> flits;
+    BitStream bits;
     for (;;) {
       const Flit f = in.Pop();
       // Framing checks: the fixed flits-per-message framing is this
@@ -182,7 +188,7 @@ class DePacketizer : public Module {
           flits.clear();
           continue;
         }
-        BitStream bits = BitStream::FromFlits(flits, kFlitBits);
+        bits.AssignFlits(flits, kFlitBits);
         if (probe_) probe_->OnFraming(Framing::kAssembled, flits.size());
         out.Push(Marshal<T>::Read(bits));
         flits.clear();

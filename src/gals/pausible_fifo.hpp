@@ -60,7 +60,7 @@ class PausibleBisyncFifo : public Module {
     // it between the two domains' cycle bases.
     sim().design_graph().AddCrossing(DesignGraph::CrossingNode{
         full_name(), &pclk_, &cclk_, pclk_.name(), cclk_.name(), pclk_.period(),
-        cclk_.period(), sync_delay_, kDepth});
+        cclk_.period(), sync_delay_, kDepth, &transfers_});
     // Instrumentation probe: nullptr unless stats, trace or a chaos plan
     // covers this crossing. Chaos pause storms let each side hold a freshly
     // acquired slot for extra local cycles, modeling arbitration that keeps
@@ -103,6 +103,20 @@ class PausibleBisyncFifo : public Module {
     std::atomic<bool> full{false};
   };
 
+  /// Waits for a slot condition. Both slot conditions are time-gated: a
+  /// publish or free in the current window is invisible to the other side
+  /// until sync_delay later, so the condition gives the same result at the
+  /// waiting side's clock edge as in its dispatch slot, and the edge may
+  /// try it in place. A probed crossing counts each failed try as a sync
+  /// wait cycle, so it keeps the dispatch path.
+  void WaitSlot(ConditionRef cond) {
+    if (probe_) {
+      wait_until(cond);
+    } else {
+      wait_until_at_edge(cond);
+    }
+  }
+
   void RunEnqueue() {
     std::uint64_t tail = 0;
     for (;;) {
@@ -121,14 +135,15 @@ class PausibleBisyncFifo : public Module {
       // would.
       Slot& s = ring_[tail % kDepth];
       Time last_failed_poll = kTimeNever;
-      wait_until([&] {
+      const auto slot_free = [&] {
         if (!s.full.load(std::memory_order_acquire) &&
             sim().now() >= s.freed.load(std::memory_order_relaxed) + sync_delay_)
           return true;
         last_failed_poll = sim().now();
         if (probe_) probe_->OnEnqWait();
         return false;
-      });
+      };
+      WaitSlot(slot_free);
       // The slot is free and stays free (only this side fills it), so
       // holding extra cycles here is indistinguishable from a longer
       // arbitration pause: purely a latency fault.
@@ -155,14 +170,15 @@ class PausibleBisyncFifo : public Module {
       // store became visible.
       Slot& s = ring_[head % kDepth];
       Time last_failed_poll = kTimeNever;
-      wait_until([&] {
+      const auto slot_published = [&] {
         if (s.full.load(std::memory_order_acquire) &&
             sim().now() >= s.published.load(std::memory_order_relaxed) + sync_delay_)
           return true;
         last_failed_poll = sim().now();
         if (probe_) probe_->OnDeqWait();
         return false;
-      });
+      };
+      WaitSlot(slot_published);
       // Symmetric consumer-side storm; the slot stays full until freed
       // below, so the hold only delays when the token crosses.
       if (probe_) wait(probe_->DeqHoldCycles());

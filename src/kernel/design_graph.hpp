@@ -53,6 +53,9 @@ class DesignGraph {
     /// same-cycle kinds (Combinational, Bypass via the bypass path), 1 for
     /// kinds that commit at the posedge (Pipeline, Buffer).
     unsigned latency_cycles = 0;
+    /// The channel's live transfer_count(); read it only while the channel
+    /// exists.
+    const std::uint64_t* transfers = nullptr;
   };
 
   struct PortNode {
@@ -92,6 +95,8 @@ class DesignGraph {
     std::uint64_t consumer_period_ps = 0;
     std::uint64_t sync_delay_ps = 0;      ///< grace window per direction
     unsigned depth = 0;                   ///< ring slots (kDepth)
+    /// The fifo's live transfer_count(); read it only while the fifo exists.
+    const std::uint64_t* transfers = nullptr;
   };
 
   // ---- registration (called during elaboration) ----

@@ -63,14 +63,16 @@ class Event {
 
   Simulator& sim_;
   std::vector<ProcessBase*> waiters_;
+  // Fire swaps the waiters in here, so both lists keep their capacity.
+  std::vector<ProcessBase*> firing_;
   std::atomic<SchedShard*> shard_{nullptr};
 };
 
 inline void Event::Fire() {
   CheckShard();
-  std::vector<ProcessBase*> w;
-  w.swap(waiters_);
-  for (ProcessBase* p : w) sim_.MakeRunnable(*p);
+  firing_.clear();
+  firing_.swap(waiters_);
+  for (ProcessBase* p : firing_) sim_.MakeRunnable(*p);
 }
 
 inline void Event::Notify() { Fire(); }

@@ -244,20 +244,20 @@ void Engine::Redistribute() {
   // commit here on the main thread; the process wakes they trigger route to
   // the owning shards through the now-populated group table.
   while (!main.updates.empty()) {
-    std::vector<Updatable*> ups;
-    ups.swap(main.updates);
-    for (Updatable* u : ups) u->Update();
+    main.update_batch.clear();
+    main.update_batch.swap(main.updates);
+    for (Updatable* u : main.update_batch) u->Update();
   }
 
   // Runnable processes move to their group's shard in queue order; `queued`
-  // stays set (they are still queued, just elsewhere).
-  if (!main.runnable.empty()) {
-    std::vector<ProcessBase*> batch;
-    batch.swap(main.runnable);
-    for (ProcessBase* p : batch) {
-      sim_.group_shards_[p->par_group]->runnable.push_back(p);
-    }
+  // stays set (they are still queued, just elsewhere). Each takes the next
+  // wake ordinal of its new shard, keeping that shard's ordinals monotonic.
+  for (ProcessBase* p : main.runnable) {
+    SchedShard& target = *sim_.group_shards_[p->par_group];
+    p->wake_ordinal = target.next_ordinal++;
+    target.runnable.push_back(p);
   }
+  main.runnable.clear();
 
   // Timed entries drain in (t, seq) order and are re-sequenced per target
   // shard, preserving each shard's relative firing order. Routing key is
@@ -372,7 +372,7 @@ void Engine::RunUntil(Time t) {
       if (w->error != nullptr) {
         std::exception_ptr e = w->error;
         w->error = nullptr;
-        if (sim_.trace_events().enabled()) sim_.trace_events().MergeShards();
+        EndRun();
         std::rethrow_exception(e);
       }
     }
@@ -387,6 +387,10 @@ void Engine::RunUntil(Time t) {
     // the worker count, so fingerprints use fixed horizons without Stop).
     sim_.pulse().SampleBefore(t + 1);
   }
+  EndRun();
+}
+
+void Engine::EndRun() {
   Time max_now = sim_.main_shard_.now;
   for (const auto& w : workers_) max_now = std::max(max_now, w->shard.now);
   sim_.main_shard_.now = max_now;

@@ -92,6 +92,10 @@ class Engine {
   /// Moves work queued on the main shard (elaboration, between runs) onto
   /// the owning workers' shards. Main-thread only, workers quiescent.
   void Redistribute();
+  /// Publishes the shards' time to the main shard (Simulator::now() outside
+  /// a run) and merges trace shards; every RunUntil exit, a throw included,
+  /// ends here.
+  void EndRun();
   void StartThreads();
   void WorkerLoop(Worker& w);
   /// One conservative window on `w`'s shard: settle, then fire timesteps

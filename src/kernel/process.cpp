@@ -12,6 +12,23 @@ namespace craft {
 namespace {
 thread_local ThreadProcess* tl_current_thread = nullptr;
 
+/// Marks `t` as the current thread for a scope. Restored on every exit,
+/// including a body exception rethrown by resume(): a caller that catches
+/// it and keeps simulating (or destroys the simulator) must not see this
+/// process as current.
+class CurrentThreadScope {
+ public:
+  explicit CurrentThreadScope(ThreadProcess* t) : prev_(tl_current_thread) {
+    tl_current_thread = t;
+  }
+  ~CurrentThreadScope() { tl_current_thread = prev_; }
+  CurrentThreadScope(const CurrentThreadScope&) = delete;
+  CurrentThreadScope& operator=(const CurrentThreadScope&) = delete;
+
+ private:
+  ThreadProcess* prev_;
+};
+
 ThreadProcess& CurrentThread(const char* call) {
   ThreadProcess* t = ThreadProcess::Current();
   CRAFT_ASSERT(t != nullptr, call << " called outside a thread process");
@@ -32,14 +49,7 @@ ThreadProcess* ThreadProcess::Current() { return tl_current_thread; }
 
 void ThreadProcess::Dispatch() {
   if (fiber_.done()) return;
-  // Restored on every exit, including a body exception rethrown by
-  // resume(): a caller that catches it and keeps simulating (or destroys
-  // the simulator) must not see this process as current.
-  struct Restore {
-    ThreadProcess* prev;
-    ~Restore() { tl_current_thread = prev; }
-  } restore{tl_current_thread};
-  tl_current_thread = this;
+  const CurrentThreadScope current(this);
   if (cond_ != nullptr) {
     try {
       if (!TryCondition()) return;  // parked again; the fiber stays put
@@ -96,16 +106,38 @@ void ThreadProcess::Wait(Event& e) {
   });
 }
 
-void ThreadProcess::WaitUntil(ConditionRef cond) {
+void ThreadProcess::WaitUntil(ConditionRef cond) { BeginWait(cond, false); }
+
+void ThreadProcess::WaitUntilAtEdge(ConditionRef cond) { BeginWait(cond, true); }
+
+void ThreadProcess::BeginWait(ConditionRef& cond, bool edge_tried) {
   // Every wait comes here, and cond_ is set exactly while one is pending,
   // so a wait from inside a condition's try finds it set.
   CRAFT_ASSERT(cond_ == nullptr, "thread '" << name()
                                             << "' blocked inside a wait_until condition; "
                                                "a condition must not wait");
   cond_ = &cond;
+  edge_tried_ = edge_tried;
   if (TryCondition()) return;
   Suspend();
   if (cond_error_) std::rethrow_exception(std::exchange(cond_error_, nullptr));
+}
+
+bool ThreadProcess::TryAtEdge() {
+  const CurrentThreadScope current(this);
+  Event* retry_on = nullptr;
+  try {
+    if (!(*cond_)(retry_on)) {
+      CRAFT_ASSERT(retry_on == nullptr, "thread '" << name()
+                                                   << "': a condition tried at the edge "
+                                                      "set retry_on");
+      return false;
+    }
+  } catch (...) {
+    cond_error_ = std::current_exception();
+  }
+  cond_ = nullptr;
+  return true;
 }
 
 MethodProcess::MethodProcess(Simulator& sim, std::string name, std::function<void()> body)
@@ -129,6 +161,10 @@ void wait(unsigned n) { CurrentThread("wait(n)").Wait(n); }
 void wait(Event& e) { CurrentThread("wait(Event)").Wait(e); }
 
 void wait_until(ConditionRef cond) { CurrentThread("wait_until()").WaitUntil(cond); }
+
+void wait_until_at_edge(ConditionRef cond) {
+  CurrentThread("wait_until_at_edge()").WaitUntilAtEdge(cond);
+}
 
 std::uint64_t this_cycle() { return CurrentThread("this_cycle()").clock().cycle(); }
 

@@ -67,6 +67,10 @@ class ProcessBase {
 
   bool queued = false;  // managed by Simulator::MakeRunnable
 
+  /// Ordinal of the MakeRunnable that last queued this process (its place
+  /// in its shard's dispatch order). Managed by Simulator::MakeRunnable.
+  std::uint64_t wake_ordinal = 0;
+
   /// craft-par: the GALS clock-domain group this process belongs to,
   /// assigned by the engine's partitioner at the first Run. Routes
   /// MakeRunnable to the owning worker's shard.
@@ -126,13 +130,33 @@ class ThreadProcess : public ProcessBase {
   /// holds. A condition must not block: wait() inside one raises a SimError.
   void WaitUntil(ConditionRef cond);
 
+  /// WaitUntil for a condition this thread's clock edge may try itself, at
+  /// the thread's place in the wake order, instead of dispatching the
+  /// thread. A try that holds makes the thread runnable in that same place
+  /// and its fiber resumes with no second try; one that fails leaves it
+  /// parked, keeping its place. Legal only for a condition that gives the
+  /// same result at the edge as in the thread's dispatch slot, changes
+  /// nothing outside the waiting frame when it fails, and never sets
+  /// `retry_on`.
+  void WaitUntilAtEdge(ConditionRef cond);
+
   /// Times the scheduler resumed this thread's fiber.
   std::uint64_t fiber_resumes() const { return fiber_resumes_; }
 
  private:
+  friend class Clock;
+
   void Park(Event* on);
   bool TryCondition();
   void Suspend();
+  void BeginWait(ConditionRef& cond, bool edge_tried);
+
+  /// Clock::Edge: is the pending wait one the edge may try itself?
+  bool edge_tried() const { return edge_tried_; }
+  /// Clock::Edge: one try of the pending condition at the edge. False means
+  /// still blocked (the thread stays parked on the clock); true means the
+  /// wait is over — it held, or it threw and the fiber will rethrow.
+  bool TryAtEdge();
 
   Clock& clk_;
   Fiber fiber_;
@@ -143,6 +167,7 @@ class ThreadProcess : public ProcessBase {
   // exactly as one thrown by the body.
   const ConditionRef* cond_ = nullptr;
   std::exception_ptr cond_error_;
+  bool edge_tried_ = false;
 };
 
 /// A non-blocking callback process, re-run on each trigger.
@@ -186,6 +211,10 @@ void wait(Event& e);
 
 /// Blocks the current thread until `cond` holds (ThreadProcess::WaitUntil).
 void wait_until(ConditionRef cond);
+
+/// wait_until for a condition the clock edge may try in place of a dispatch
+/// (ThreadProcess::WaitUntilAtEdge states when that is legal).
+void wait_until_at_edge(ConditionRef cond);
 
 /// Cycle count of the current thread's clock.
 std::uint64_t this_cycle();

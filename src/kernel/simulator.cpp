@@ -96,6 +96,7 @@ void Simulator::MakeRunnable(ProcessBase& p) {
                    << "': clock domains may only interact through a "
                       "registered GALS crossing (PausibleBisyncFifo)");
   p.queued = true;
+  p.wake_ordinal = s.next_ordinal++;
   s.runnable.push_back(&p);
 }
 
@@ -141,27 +142,37 @@ void Simulator::SettleDeltas(SchedShard& s) {
     ++s.delta_count;
     if (delta_limit_ != 0 && ++deltas_this_step > delta_limit_)
       ReportDeltaOverflow(s);
-    std::vector<ProcessBase*> batch;
-    batch.swap(s.runnable);
-    for (ProcessBase* p : batch) {
-      p->queued = false;
-      ++s.dispatch_count;
-      ++p->stat_dispatches;
-      tl_sched_group = p->par_group;
-      if (profile) {
-        const auto t0 = std::chrono::steady_clock::now();
-        p->Dispatch();
-        p->stat_wall_ns += static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count());
-      } else {
-        p->Dispatch();
+    s.batch.clear();
+    s.batch.swap(s.runnable);
+    std::size_t i = 0;
+    try {
+      for (; i < s.batch.size(); ++i) {
+        ProcessBase* p = s.batch[i];
+        p->queued = false;
+        ++s.dispatch_count;
+        ++p->stat_dispatches;
+        tl_sched_group = p->par_group;
+        if (profile) {
+          const auto t0 = std::chrono::steady_clock::now();
+          p->Dispatch();
+          p->stat_wall_ns += static_cast<std::uint64_t>(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count());
+        } else {
+          p->Dispatch();
+        }
       }
+    } catch (...) {
+      // The rest of the batch was never dispatched and is still queued:
+      // it goes back to the front, ahead of anything this delta woke, so a
+      // later Run dispatches it in the order this one would have.
+      s.runnable.insert(s.runnable.begin(), s.batch.begin() + i + 1, s.batch.end());
+      throw;
     }
-    std::vector<Updatable*> ups;
-    ups.swap(s.updates);
-    for (Updatable* u : ups) u->Update();
+    s.update_batch.clear();
+    s.update_batch.swap(s.updates);
+    for (Updatable* u : s.update_batch) u->Update();
   }
 }
 

@@ -79,10 +79,19 @@ struct SchedShard {
   /// delta-settle loop at the end of the current delta.
   bool local_stop = false;
 
+  /// Wake ordinal the next MakeRunnable on this shard assigns. Dispatches
+  /// run in ordinal order, so a clock's waiters park in ordinal order too;
+  /// Clock::Edge reserves an ordinal for each thread it retries in place.
+  std::uint64_t next_ordinal = 0;
+
   std::priority_queue<TimedEntry, std::vector<TimedEntry>, std::greater<TimedEntry>>
       timed;
   std::vector<ProcessBase*> runnable;
   std::vector<Updatable*> updates;
+  // SettleDeltas swaps these with runnable/updates each delta, so all four
+  // keep their capacity and the delta loop allocates nothing.
+  std::vector<ProcessBase*> batch;
+  std::vector<Updatable*> update_batch;
 };
 
 /// Shard the calling thread is currently executing simulation work for.
@@ -264,6 +273,15 @@ class Simulator {
   /// a process owned by another worker mid-window is a cross-domain
   /// interaction outside a crossing and raises a SimError.
   void MakeRunnable(ProcessBase& p);
+
+  /// Takes the wake ordinal MakeRunnable would assign now to a process of
+  /// clock-domain group `group`, without queueing anything: Clock::Edge
+  /// keeps a thread it retried in place at the position a dispatch would
+  /// have re-parked it.
+  std::uint64_t ReserveWakeOrdinal(unsigned group) {
+    SchedShard* s = ShardForGroupOrNull(group);
+    return (s != nullptr ? *s : main_shard_).next_ordinal++;
+  }
 
   /// Queues an Updatable for the update phase of the current delta.
   void QueueUpdate(Updatable& u) { CurShard().updates.push_back(&u); }

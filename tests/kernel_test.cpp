@@ -366,8 +366,147 @@ TEST(WaitUntil, ThrowingConditionSurfacesLikeABodyThrow) {
   EXPECT_EQ(b.ticks, 3u);
   EXPECT_EQ(b.unwound, 1);
   EXPECT_TRUE(b.thrower->done());
+  sim.Run(5_ns);  // from the throw at 3 ns to 8 ns
+  EXPECT_EQ(b.ticks, 8u);
+}
+
+// A Run that throws still publishes the time it reached: now() reads the
+// time of the throw, and the next Run(d) ends d later.
+TEST(Simulator, NowAfterThrowingRunReadsTheThrowTime) {
+  Simulator sim;
+  Clock clk(sim, "clk", 1_ns);
+  Module top(sim, "top");
+  struct B : Module {
+    B(Module& p, Clock& clk) : Module(p, "b") {
+      Thread("thrower", clk, [] {
+        wait(3);
+        throw std::runtime_error("body failed");
+      });
+    }
+  } b(top, clk);
+  EXPECT_THROW(sim.Run(10_ns), std::runtime_error);
+  EXPECT_EQ(sim.now(), 3_ns);
   sim.Run(5_ns);
-  EXPECT_GT(b.ticks, 3u);
+  EXPECT_EQ(sim.now(), 8_ns);
+  EXPECT_EQ(clk.cycle(), 8u);
+}
+
+// Processes behind a throwing one in the same delta were never dispatched;
+// they stay queued and run first in the next Run instead of being lost.
+TEST(Simulator, ThrowKeepsTheRestOfTheDeltaQueued) {
+  Simulator sim;
+  Clock clk(sim, "clk", 1_ns);
+  Module top(sim, "top");
+  struct B : Module {
+    std::uint64_t count = 0;
+    B(Module& p, Clock& clk) : Module(p, "b") {
+      Thread("thrower", clk, [] {
+        wait(3);
+        throw std::runtime_error("body failed");
+      });
+      Thread("counter", clk, [this] {
+        for (;;) {
+          wait();
+          ++count;
+        }
+      });
+    }
+  } b(top, clk);
+  EXPECT_THROW(sim.Run(10_ns), std::runtime_error);
+  EXPECT_EQ(b.count, 2u);  // its third wake was behind the throw
+  sim.Run(5_ns);
+  EXPECT_EQ(b.count, 8u);
+}
+
+// Three threads on one clock log every wake as (cycle, thread). The middle
+// one blocks on a condition that holds every fifth edge, through either
+// wait_until (each edge dispatches it for a try) or wait_until_at_edge (the
+// edge tries it in place). Its place in the wake order, and with it every
+// chaos wakeup-deferral draw, must be the same either way.
+struct WakeOrder {
+  std::vector<std::pair<std::uint64_t, int>> log;
+  std::uint64_t mid_dispatches = 0;
+};
+
+WakeOrder RunWakeOrder(bool at_edge, double wakeup_delay_prob) {
+  Simulator sim;
+  if (wakeup_delay_prob > 0.0) {
+    FaultPlan plan;
+    plan.seed = 11;
+    plan.wakeup_delay_prob = wakeup_delay_prob;
+    sim.chaos().Enable(plan);
+  }
+  Clock clk(sim, "clk", 1_ns);
+  Module top(sim, "top");
+  struct B : Module {
+    std::vector<std::pair<std::uint64_t, int>> log;
+    ThreadProcess* mid = nullptr;
+    B(Module& p, Clock& clk, bool at_edge) : Module(p, "b") {
+      const auto poll = [this](int id) {
+        for (;;) {
+          wait();
+          log.emplace_back(this_cycle(), id);
+        }
+      };
+      Thread("first", clk, [poll] { poll(0); });
+      mid = &Thread("mid", clk, [this, &clk, at_edge] {
+        for (;;) {
+          const auto due = [&clk] { return clk.cycle() % 5 == 0; };
+          at_edge ? wait_until_at_edge(due) : wait_until(due);
+          log.emplace_back(this_cycle(), 1);
+          wait();
+        }
+      });
+      Thread("last", clk, [poll] { poll(2); });
+    }
+  } b(top, clk, at_edge);
+  sim.Run(300_ns);
+  return {b.log, b.mid->stat_dispatches};
+}
+
+TEST(WaitUntilAtEdge, RetriedThreadKeepsItsPlaceInTheWakeOrder) {
+  for (const double prob : {0.0, 0.3}) {
+    const WakeOrder polled = RunWakeOrder(false, prob);
+    const WakeOrder in_place = RunWakeOrder(true, prob);
+    EXPECT_EQ(polled.log, in_place.log) << "wakeup_delay_prob " << prob;
+    EXPECT_GT(polled.log.size(), 400u);
+    // The edge took the failed tries: the middle thread is dispatched only
+    // when its condition holds, and for the wait() after it.
+    EXPECT_LT(in_place.mid_dispatches * 2, polled.mid_dispatches)
+        << in_place.mid_dispatches << " vs " << polled.mid_dispatches;
+  }
+  // The wakeup-delay plan does reorder wakes, so the check above has teeth.
+  EXPECT_NE(RunWakeOrder(true, 0.0).log, RunWakeOrder(true, 0.3).log);
+}
+
+// A condition that throws when the edge tries it surfaces as a body throw:
+// it is rethrown on the fiber, which unwinds and finishes.
+TEST(WaitUntilAtEdge, ThrowAtTheEdgeIsRethrownOnTheFiber) {
+  Simulator sim;
+  Clock clk(sim, "clk", 1_ns);
+  Module top(sim, "top");
+  struct B : Module {
+    ThreadProcess* thrower = nullptr;
+    int unwound = 0;
+    B(Module& p, Clock& clk) : Module(p, "b") {
+      thrower = &Thread("thrower", clk, [this] {
+        struct Guard {
+          int& n;
+          ~Guard() { ++n; }
+        } guard{unwound};
+        wait_until_at_edge([] {
+          if (this_cycle() < 3) return false;
+          throw std::runtime_error("condition failed");
+        });
+      });
+    }
+  } b(top, clk);
+  EXPECT_THROW(sim.Run(10_ns), std::runtime_error);
+  EXPECT_EQ(ThreadProcess::Current(), nullptr);
+  EXPECT_EQ(clk.cycle(), 3u);
+  EXPECT_EQ(b.unwound, 1);
+  EXPECT_TRUE(b.thrower->done());
+  EXPECT_EQ(b.thrower->stat_dispatches, 2u);  // the start and the throw
 }
 
 // SimError messages name the raising source file relative to the

@@ -3,6 +3,9 @@
 // SoC-level workloads.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "soc/workloads.hpp"
 
 namespace craft::soc {
@@ -145,6 +148,56 @@ TEST(SocDeterminism, SameConfigSameCycles) {
     return RunWorkload(soc, SixSocTests()[0], 50_ms).cycles;
   };
   EXPECT_EQ(run(), run());
+}
+
+// What one run of a workload produced: everything that must not depend on
+// how blocked threads are retried, or on the worker count.
+struct SocOutcome {
+  std::uint64_t cycles = 0;
+  std::uint64_t gm_digest = 0;
+  std::uint64_t instret = 0;
+  std::uint64_t noc_flits = 0;
+  std::map<std::string, std::uint64_t> transfers;  // every channel and crossing
+  bool operator==(const SocOutcome&) const = default;
+};
+
+SocOutcome RunOutcome(const Workload& w, bool stats, unsigned parallelism,
+                      double* dispatches_per_cycle = nullptr) {
+  Simulator sim;
+  if (stats) sim.stats().Enable();
+  SocConfig cfg;  // the 2x2 GALS mesh
+  cfg.parallelism = parallelism;
+  SocTop soc(sim, cfg);
+  const WorkloadRun r = RunWorkload(soc, w, 500_ms);
+  EXPECT_TRUE(r.ok) << r.name << ": " << r.error;
+  SocOutcome o;
+  o.cycles = r.cycles;
+  o.gm_digest = 0xcbf29ce484222325ull;  // FNV-1a over the global memory image
+  for (std::uint32_t i = 0; i < SocTop::Gm::SizeWords(); ++i)
+    o.gm_digest = (o.gm_digest ^ soc.PeekGm(i)) * 0x100000001b3ull;
+  o.instret = soc.controller().cpu().instret();
+  o.noc_flits = soc.noc().total_flits_forwarded();
+  for (const auto& [name, ch] : sim.design_graph().channels()) o.transfers[name] = *ch.transfers;
+  for (const auto& x : sim.design_graph().crossings())
+    o.transfers[x.path + "#crossing"] = *x.transfers;
+  if (dispatches_per_cycle != nullptr)
+    *dispatches_per_cycle = static_cast<double>(sim.dispatch_count()) / static_cast<double>(r.cycles);
+  return o;
+}
+
+// Uninstrumented, blocked pops and crossing slot waits are retried at the
+// clock edge; with stats on every site has a probe and each retry is a
+// dispatch. Both, at one worker and at four, must give the same run.
+TEST(SocRetryEquivalence, SevenWorkloadsMatchWithAndWithoutProbesAtN1AndN4) {
+  for (const Workload& w : AllWorkloads()) {
+    double dispatches_per_cycle = 0.0;
+    const SocOutcome base = RunOutcome(w, false, 1, &dispatches_per_cycle);
+    EXPECT_GT(base.transfers.size(), 50u);
+    EXPECT_LE(dispatches_per_cycle, 15.0) << w.name;
+    EXPECT_EQ(RunOutcome(w, false, 4), base) << w.name << " uninstrumented n=4";
+    EXPECT_EQ(RunOutcome(w, true, 1), base) << w.name << " stats n=1";
+    EXPECT_EQ(RunOutcome(w, true, 4), base) << w.name << " stats n=4";
+  }
 }
 
 TEST(SocGals, AsyncLinksInstantiatedOnlyInGalsMode) {
