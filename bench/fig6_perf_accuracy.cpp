@@ -11,8 +11,8 @@
 // Besides the table, writes BENCH_fig6_perf_accuracy.json (craft-bench-v1):
 // per test the fast and RTL cycles, walls and speedup, the fast run's
 // process dispatches per cycle, and the worst |cycle error| over all tests.
-// The fast runs are uninstrumented, so the dispatch count is deterministic
-// and CI gates it.
+// The dispatch count is deterministic and does not depend on which
+// registries are on, so CI gates it.
 #include <chrono>
 #include <cstdio>
 #include <thread>

@@ -78,14 +78,17 @@ void BM_BlockedRetry(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockedRetry)->Apply(RepeatedMin);
 
-// An uninstrumented Buffer pop blocked for 10k edges of an otherwise idle
-// clock. The edge tries the pop's readiness test in place of a dispatch, so
-// a blocked edge costs one test plus the edge; the bench JSON reports it
-// per edge (blocked_pop_ns_per_edge), next to BM_BlockedRetry's.
-void BM_BlockedPop(benchmark::State& state) {
+// A Buffer pop blocked for 10k edges of an otherwise idle clock. The edge
+// tries the pop's readiness test in place of a dispatch, so a blocked edge
+// costs one test plus the edge; the bench JSON reports it per edge
+// (blocked_pop_ns_per_edge), next to BM_BlockedRetry's. BM_BlockedPopStats
+// is the same pop with the stats registry on, whose probe counts each
+// failed test as a stall cycle (blocked_pop_stats_ns_per_edge).
+void BlockedPop(benchmark::State& state, bool stats) {
   for (auto _ : state) {
     state.PauseTiming();
     Simulator sim;
+    if (stats) sim.stats().Enable();
     Clock clk(sim, "clk", 1_ns);
     Module top(sim, "top");
     connections::Buffer<int> ch(top, "ch", clk, 2);
@@ -98,7 +101,10 @@ void BM_BlockedPop(benchmark::State& state) {
     sim.Run(10_us);  // 10k cycles
   }
 }
+void BM_BlockedPop(benchmark::State& state) { BlockedPop(state, false); }
 BENCHMARK(BM_BlockedPop)->Apply(RepeatedMin);
+void BM_BlockedPopStats(benchmark::State& state) { BlockedPop(state, true); }
+BENCHMARK(BM_BlockedPopStats)->Apply(RepeatedMin);
 
 // kStats / kTrace compare the instrumentation overhead: the disabled
 // configuration must stay within noise (<5%) of the uninstrumented baseline
@@ -408,6 +414,8 @@ int main(int argc, char** argv) {
       bj::Num("blocked_retry_ns_per_edge", reporter.Get("BM_BlockedRetry") / 10'000.0));
   metrics.push_back(
       bj::Num("blocked_pop_ns_per_edge", reporter.Get("BM_BlockedPop") / 10'000.0));
+  metrics.push_back(bj::Num("blocked_pop_stats_ns_per_edge",
+                            reporter.Get("BM_BlockedPopStats") / 10'000.0));
   metrics.push_back(bj::Num("softfloat_muladd_ns", reporter.Get("BM_SoftFloatMulAdd")));
   bj::EmitJson("kernel_microbench", metrics);
   benchmark::Shutdown();

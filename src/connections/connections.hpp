@@ -327,40 +327,38 @@ class Channel : public Module {
 
   T SimPop() {
     T out{};
-    if (PopTriedAtEdge()) {
-      // The edge tries the readiness test in place; the pop itself runs
-      // here, in the thread's dispatch slot. Without a probe a pop fails
-      // only when readiness does, so the loop repeats only if another
-      // consumer of this channel took the token first.
-      do {
-        wait_until_at_edge([this] { return !q_.empty() && last_pop_cycle_ != clk_.cycle(); });
-      } while (!SimPopNBImpl(out));
-      return out;
-    }
-    wait_until([&](Event*& retry_on) {
-      if (SimPopNBImpl(out)) return true;
-      if (probe_ && !PeekAvailable()) probe_->OnPopStall();
-      // Same-cycle visibility: an empty combinational or bypass channel
-      // retries on an offer; a rate-limited or clocked one at the next edge.
-      if ((kind_ == ChannelKind::kCombinational || kind_ == ChannelKind::kBypass) &&
-          !PeekAvailable()) {
-        retry_on = &data_event_;
-      }
-      return false;
-    });
+    const auto ready = [this](Event*& retry_on) { return SimPopReady(retry_on); };
+    // The wait ends in the slot the pop runs in (or, tried at the edge, in
+    // one where readiness still holds), so the loop repeats only if another
+    // consumer of this channel took the token first.
+    do {
+      PopTriedAtEdge() ? wait_until_at_edge(ready) : wait_until(ready);
+    } while (!SimPopNBImpl(out));
     if (probe_) probe_->OnDequeue(occupancy());
     return out;
+  }
+
+  /// The checks of SimPopNBImpl, in its order (so the lazy per-cycle chaos
+  /// rolls happen on the same cycles), without taking the token. A failure
+  /// on an empty channel is a stall cycle; an empty combinational or bypass
+  /// channel retries on an offer, a rate-limited or clocked one at the next
+  /// edge.
+  bool SimPopReady(Event*& retry_on) {
+    const std::uint64_t c = clk_.cycle();
+    const bool open = last_pop_cycle_ != c && !(probe_ && probe_->ValidStalled(c));
+    if (PeekAvailable()) return open;
+    if (probe_) probe_->OnPopStall();
+    if (kind_ == ChannelKind::kCombinational || kind_ == ChannelKind::kBypass)
+      retry_on = &data_event_;
+    return false;
   }
 
   /// Whether a blocking pop may be retried at the popping thread's clock
   /// edge instead of dispatching it. Only a Buffer or Pipeline fills its
   /// queue, and only at its own clock's edge hook, so on that clock the
-  /// readiness the edge sees holds until the thread's dispatch slot. A
-  /// probed channel keeps the dispatch path: a failed try is an observed
-  /// stall cycle there.
+  /// readiness the edge sees holds until the thread's dispatch slot.
   bool PopTriedAtEdge() const {
-    if (probe_ || (kind_ != ChannelKind::kBuffer && kind_ != ChannelKind::kPipeline))
-      return false;
+    if (kind_ != ChannelKind::kBuffer && kind_ != ChannelKind::kPipeline) return false;
     const ThreadProcess* t = ThreadProcess::Current();
     return t != nullptr && &t->clock() == &clk_;
   }

@@ -103,20 +103,6 @@ class PausibleBisyncFifo : public Module {
     std::atomic<bool> full{false};
   };
 
-  /// Waits for a slot condition. Both slot conditions are time-gated: a
-  /// publish or free in the current window is invisible to the other side
-  /// until sync_delay later, so the condition gives the same result at the
-  /// waiting side's clock edge as in its dispatch slot, and the edge may
-  /// try it in place. A probed crossing counts each failed try as a sync
-  /// wait cycle, so it keeps the dispatch path.
-  void WaitSlot(ConditionRef cond) {
-    if (probe_) {
-      wait_until(cond);
-    } else {
-      wait_until_at_edge(cond);
-    }
-  }
-
   void RunEnqueue() {
     std::uint64_t tail = 0;
     for (;;) {
@@ -143,7 +129,10 @@ class PausibleBisyncFifo : public Module {
         if (probe_) probe_->OnEnqWait();
         return false;
       };
-      WaitSlot(slot_free);
+      // Both slot conditions are time-gated: a publish or free in the
+      // current window is invisible to the other side until sync_delay
+      // later, so the edge may try them in place of a dispatch.
+      wait_until_at_edge(slot_free);
       // The slot is free and stays free (only this side fills it), so
       // holding extra cycles here is indistinguishable from a longer
       // arbitration pause: purely a latency fault.
@@ -178,7 +167,7 @@ class PausibleBisyncFifo : public Module {
         if (probe_) probe_->OnDeqWait();
         return false;
       };
-      WaitSlot(slot_published);
+      wait_until_at_edge(slot_published);
       // Symmetric consumer-side storm; the slot stays full until freed
       // below, so the hold only delays when the token crosses.
       if (probe_) wait(probe_->DeqHoldCycles());

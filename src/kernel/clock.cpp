@@ -1,6 +1,9 @@
 #include "kernel/clock.hpp"
 
+#include <algorithm>
+
 #include "kernel/process.hpp"
+#include "kernel/report.hpp"
 
 namespace craft {
 
@@ -15,55 +18,47 @@ Clock::Clock(Simulator& sim, std::string name, Time period, Time first_edge)
 
 void Clock::AttachMethod(MethodProcess& m) { methods_.push_back(&m); }
 
-void Clock::AddWaiter(ThreadProcess& t) { parked_.push_back(Waiter{&t, t.wake_ordinal}); }
-
 void Clock::Edge() {
   tl_sched_group = par_group_;
   ++cycle_;
   for (auto& hook : hooks_) hook();
-  // Wake one-shot waiters (threads blocked in wait_until) in the order a
-  // single waiter list would hold them: the waiters deferred at the last
-  // edge first, then everyone else in park order. A thread parks in the
-  // dispatch that made it wait, so park order is wake-ordinal order; a
-  // thread this edge retries in place takes the ordinal its dispatch would
-  // have had, so merging the retried and the newly parked by ordinal gives
-  // the order in which dispatching every retry would have re-parked them.
-  visit_deferred_.clear();
-  visit_retried_.clear();
-  visit_parked_.clear();
-  visit_deferred_.swap(deferred_);
-  visit_retried_.swap(retried_);
-  visit_parked_.swap(parked_);
-  for (const Waiter& w : visit_deferred_) Wake(w);
-  auto r = visit_retried_.begin();
-  auto p = visit_parked_.begin();
-  while (r != visit_retried_.end() || p != visit_parked_.end()) {
-    const bool retried_first = p == visit_parked_.end() ||
-                               (r != visit_retried_.end() && r->ordinal < p->ordinal);
-    Wake(retried_first ? *r++ : *p++);
-  }
+  // Wake one-shot waiters (threads blocked in wait_until) in wake-ordinal
+  // order. Ordinals come from one counter per shard in dispatch order, and
+  // a thread parks in the dispatch that made it wait, so this is park
+  // order. A thread the last edge retried in place took the ordinal its
+  // dispatch would have had there, so it sits where dispatching the retry
+  // would have re-parked it. A thread chaos deferred keeps the older
+  // ordinal of a dispatch before the last edge, so it comes first.
+  visit_.clear();
+  visit_.swap(waiters_);
+  std::sort(visit_.begin(), visit_.end(), [](const ThreadProcess* a, const ThreadProcess* b) {
+    return a->wake_ordinal < b->wake_ordinal;
+  });
+  for (ThreadProcess* t : visit_) Wake(*t);
   // Trigger statically sensitive methods.
   for (ProcessBase* m : methods_) sim_.MakeRunnable(*m);
   sim_.ScheduleAt(sim_.now() + NextPeriod(), [this] { Edge(); }, /*affinity=*/this);
 }
 
-void Clock::Wake(const Waiter& w) {
+void Clock::Wake(ThreadProcess& t) {
   // craft-chaos may defer individual wakeups to the next edge — legal for
   // LI designs, which must tolerate a thread resuming late. Only these
   // one-shot waiters are ever deferred: statically sensitive methods model
   // RTL that samples every edge, so delaying them would forge a different
   // design, not a schedule.
   if (chaos_ != nullptr && chaos_->DeferWakeup()) {
-    deferred_.push_back(w);
+    waiters_.push_back(&t);
     return;
   }
-  ThreadProcess& t = *w.thread;
   // A wait the edge may try itself (ThreadProcess::WaitUntilAtEdge) that
-  // still fails stays parked, holding the ordinal its dispatch would have
-  // taken; the dispatch it saves would have been a failed try with no
-  // effect outside the waiting frame.
-  if (t.edge_tried() && !t.TryAtEdge()) {
-    retried_.push_back(Waiter{&t, sim_.ReserveWakeOrdinal(t.par_group)});
+  // still fails stays parked, taking the ordinal its dispatch would have
+  // taken; the dispatch it saves would have been a failed try.
+  Event* retry_on = nullptr;
+  if (t.edge_tried() && !t.TryCondition(retry_on)) {
+    CRAFT_ASSERT(retry_on == nullptr,
+                 "thread '" << t.name() << "': a condition tried at the edge set retry_on");
+    t.wake_ordinal = sim_.ReserveWakeOrdinal(t.par_group);
+    waiters_.push_back(&t);
     return;
   }
   sim_.MakeRunnable(t);

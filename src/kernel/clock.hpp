@@ -44,9 +44,10 @@ class Clock {
   /// signal-accurate chaos retriggers).
   void AddEdgeHook(std::function<void()> fn) { hooks_.push_back(std::move(fn)); }
 
-  /// Registers a thread to be woken at the next posedge (one-shot). It
-  /// keeps the wake ordinal of the dispatch that parked it.
-  void AddWaiter(ThreadProcess& t);
+  /// Registers a thread to be woken at the next posedge (one-shot). Its
+  /// wake_ordinal, that of the dispatch that parked it, fixes its place in
+  /// the wake order.
+  void AddWaiter(ThreadProcess& t) { waiters_.push_back(&t); }
 
   /// Makes `m` run at every posedge.
   void AttachMethod(MethodProcess& m);
@@ -63,15 +64,8 @@ class Clock {
   virtual Time NextPeriod() { return period_; }
 
  private:
-  /// A parked thread and the wake ordinal that fixes its place in the
-  /// wake order.
-  struct Waiter {
-    ThreadProcess* thread;
-    std::uint64_t ordinal;
-  };
-
   void Edge();
-  void Wake(const Waiter& w);
+  void Wake(ThreadProcess& t);
 
   Simulator& sim_;
   std::string name_;
@@ -81,17 +75,11 @@ class Clock {
 
   std::vector<std::function<void()>> hooks_;
 
-  // One-shot waiters for the next edge: those craft-chaos deferred at the
-  // last edge (in visit order), those the last edge retried in place and
-  // found still blocked, and those parked since the last edge (both in
-  // ordinal order). Edge swaps each list with its visit_ twin, so all six
-  // keep their capacity and an edge allocates nothing.
-  std::vector<Waiter> deferred_;
-  std::vector<Waiter> retried_;
-  std::vector<Waiter> parked_;
-  std::vector<Waiter> visit_deferred_;
-  std::vector<Waiter> visit_retried_;
-  std::vector<Waiter> visit_parked_;
+  // One-shot waiters for the next edge, visited in wake_ordinal order.
+  // Edge swaps the list with its visit_ twin, so both keep their capacity
+  // and an edge allocates nothing.
+  std::vector<ThreadProcess*> waiters_;
+  std::vector<ThreadProcess*> visit_;
   std::vector<ProcessBase*> methods_;
 
   // craft-chaos: nullptr unless a wakeup-delay fault is armed for this clock.

@@ -51,11 +51,8 @@ void ThreadProcess::Dispatch() {
   if (fiber_.done()) return;
   const CurrentThreadScope current(this);
   if (cond_ != nullptr) {
-    try {
-      if (!TryCondition()) return;  // parked again; the fiber stays put
-    } catch (...) {
-      cond_error_ = std::current_exception();
-    }
+    Event* retry_on = nullptr;
+    if (!TryCondition(retry_on)) return Park(retry_on);  // the fiber stays put
   }
   ++fiber_resumes_;
   fiber_.resume();
@@ -73,20 +70,12 @@ void ThreadProcess::Park(Event* on) {
   on != nullptr ? on->AddWaiter(*this) : clk_.AddWaiter(*this);
 }
 
-/// One try of the pending condition. On false the thread is parked for the
-/// next try; on true or a throw the wait is over.
-bool ThreadProcess::TryCondition() {
-  Event* retry_on = nullptr;
-  bool held;
+bool ThreadProcess::TryCondition(Event*& retry_on) {
+  const CurrentThreadScope current(this);
   try {
-    held = (*cond_)(retry_on);
+    if (!(*cond_)(retry_on)) return false;
   } catch (...) {
-    cond_ = nullptr;
-    throw;
-  }
-  if (!held) {
-    Park(retry_on);
-    return false;
+    cond_error_ = std::current_exception();
   }
   cond_ = nullptr;
   return true;
@@ -118,26 +107,12 @@ void ThreadProcess::BeginWait(ConditionRef& cond, bool edge_tried) {
                                                "a condition must not wait");
   cond_ = &cond;
   edge_tried_ = edge_tried;
-  if (TryCondition()) return;
-  Suspend();
-  if (cond_error_) std::rethrow_exception(std::exchange(cond_error_, nullptr));
-}
-
-bool ThreadProcess::TryAtEdge() {
-  const CurrentThreadScope current(this);
   Event* retry_on = nullptr;
-  try {
-    if (!(*cond_)(retry_on)) {
-      CRAFT_ASSERT(retry_on == nullptr, "thread '" << name()
-                                                   << "': a condition tried at the edge "
-                                                      "set retry_on");
-      return false;
-    }
-  } catch (...) {
-    cond_error_ = std::current_exception();
+  if (!TryCondition(retry_on)) {
+    Park(retry_on);
+    Suspend();
   }
-  cond_ = nullptr;
-  return true;
+  if (cond_error_) std::rethrow_exception(std::exchange(cond_error_, nullptr));
 }
 
 MethodProcess::MethodProcess(Simulator& sim, std::string name, std::function<void()> body)

@@ -135,9 +135,12 @@ class ThreadProcess : public ProcessBase {
   /// thread. A try that holds makes the thread runnable in that same place
   /// and its fiber resumes with no second try; one that fails leaves it
   /// parked, keeping its place. Legal only for a condition that gives the
-  /// same result at the edge as in the thread's dispatch slot, changes
-  /// nothing outside the waiting frame when it fails, and never sets
-  /// `retry_on`.
+  /// same result at the edge as in the thread's dispatch slot and never
+  /// sets `retry_on`, and whose failed try changes nothing outside the
+  /// waiting frame but its reports to the site's probe. Those may stay:
+  /// the stats counters and the per-cycle chaos rolls read the same
+  /// wherever in the cycle the try runs, and pulse samples only between
+  /// windows.
   void WaitUntilAtEdge(ConditionRef cond);
 
   /// Times the scheduler resumed this thread's fiber.
@@ -147,16 +150,17 @@ class ThreadProcess : public ProcessBase {
   friend class Clock;
 
   void Park(Event* on);
-  bool TryCondition();
   void Suspend();
   void BeginWait(ConditionRef& cond, bool edge_tried);
 
+  /// One try of the pending condition, run as this thread: inline on the
+  /// fiber, in the dispatch slot, or by Clock::Edge. False means still
+  /// blocked, retried on `retry_on` (nullptr: the next posedge); true means
+  /// the wait is over — it held, or it threw and the fiber will rethrow.
+  bool TryCondition(Event*& retry_on);
+
   /// Clock::Edge: is the pending wait one the edge may try itself?
   bool edge_tried() const { return edge_tried_; }
-  /// Clock::Edge: one try of the pending condition at the edge. False means
-  /// still blocked (the thread stays parked on the clock); true means the
-  /// wait is over — it held, or it threw and the fiber will rethrow.
-  bool TryAtEdge();
 
   Clock& clk_;
   Fiber fiber_;

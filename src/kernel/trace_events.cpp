@@ -36,9 +36,10 @@ TraceTrack* TraceEventSink::RegisterTrack(const std::string& name,
 std::uint64_t TraceEventSink::NewSpan(std::uint64_t parent,
                                       std::uint32_t flit_index) {
   const unsigned g = tl_sched_group;
-  auto& arena = group_spans_[g];
-  arena.push_back(TraceSpanInfo{parent, flit_index});
-  return (static_cast<std::uint64_t>(g + 1) << kSpanGroupShift) | arena.size();
+  SpanArena& arena = *group_spans_[g];
+  const std::lock_guard<std::mutex> lock(arena.mu);
+  arena.spans.push_back(TraceSpanInfo{parent, flit_index});
+  return (static_cast<std::uint64_t>(g + 1) << kSpanGroupShift) | arena.spans.size();
 }
 
 const TraceSpanInfo* TraceEventSink::SpanInfoOf(std::uint64_t span) const {
@@ -46,25 +47,30 @@ const TraceSpanInfo* TraceEventSink::SpanInfoOf(std::uint64_t span) const {
   const std::uint64_t g = span >> kSpanGroupShift;
   const std::uint64_t idx = span & kSpanIndexMask;
   if (g == 0 || g - 1 >= group_spans_.size() || idx == 0 ||
-      idx > group_spans_[g - 1].size()) {
+      idx > group_spans_[g - 1]->spans.size()) {
     return nullptr;
   }
-  return &group_spans_[g - 1][idx - 1];
+  return &group_spans_[g - 1]->spans[idx - 1];
 }
 
 std::uint64_t TraceEventSink::ParentOf(std::uint64_t span) const {
+  const std::uint64_t g = (span & ~kSpanDroppedBit) >> kSpanGroupShift;
+  if (g == 0 || g - 1 >= group_spans_.size()) return 0;
+  const std::lock_guard<std::mutex> lock(group_spans_[g - 1]->mu);
   const TraceSpanInfo* info = SpanInfoOf(span);
   return info != nullptr ? info->parent : 0;
 }
 
 std::uint64_t TraceEventSink::spans_allocated() const {
   std::uint64_t n = 0;
-  for (const auto& arena : group_spans_) n += arena.size();
+  for (const auto& arena : group_spans_) n += arena->spans.size();
   return n;
 }
 
 void TraceEventSink::Partition(unsigned num_groups, unsigned num_workers) {
   group_spans_.resize(num_groups);
+  for (auto& arena : group_spans_)
+    if (arena == nullptr) arena = std::make_unique<SpanArena>();
   group_event_counts_.resize(num_groups, 0);
   group_dropped_.resize(num_groups, 0);
   worker_events_.resize(num_workers);

@@ -204,7 +204,11 @@ class TraceEventSink {
   /// any worker count.
   std::uint64_t NewSpan(std::uint64_t parent = 0,
                         std::uint32_t flit_index = kNoFlitIndex);
+  /// Safe inside a Run from any worker: a span crosses domains, so its
+  /// reader may run beside the worker that appends to its arena.
   std::uint64_t ParentOf(std::uint64_t span) const;
+  /// For use between Runs only (the exporters): the pointer is into an
+  /// arena that a Run may reallocate.
   const TraceSpanInfo* SpanInfoOf(std::uint64_t span) const;
   std::uint64_t spans_allocated() const;
 
@@ -292,7 +296,11 @@ class TraceEventSink {
   // craft-par: per-group span arenas and drop accounting, per-worker event
   // buffers.
   std::size_t group_cap_ = 0;
-  std::vector<std::vector<TraceSpanInfo>> group_spans_;
+  struct SpanArena {
+    mutable std::mutex mu;  // guards spans; see ParentOf
+    std::vector<TraceSpanInfo> spans;
+  };
+  std::vector<std::unique_ptr<SpanArena>> group_spans_;
   std::vector<std::size_t> group_event_counts_;
   std::vector<std::uint64_t> group_dropped_;
   std::vector<std::vector<TraceEvent>> worker_events_;

@@ -119,8 +119,14 @@ class Parser {
   bool ParseValue(Value* out) {
     if (pos_ >= s_.size()) return Fail("unexpected end");
     switch (s_[pos_]) {
-      case '{': return ParseObject(out);
-      case '[': return ParseArray(out);
+      case '{':
+      case '[': {
+        if (depth_ == kMaxDepth) return Fail("nesting deeper than " + std::to_string(kMaxDepth));
+        ++depth_;
+        const bool ok = s_[pos_] == '{' ? ParseObject(out) : ParseArray(out);
+        --depth_;
+        return ok;
+      }
       case '"':
         out->kind = Value::Kind::kString;
         return ParseString(&out->text);
@@ -275,6 +281,7 @@ class Parser {
 
   const std::string& s_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // open arrays and objects around pos_
   std::string error_;
 };
 

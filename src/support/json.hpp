@@ -12,6 +12,7 @@
 // merge round-trip and craft-farm's manifest aggregation.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -89,8 +90,13 @@ struct Value {
   std::uint64_t AsU64() const;
 };
 
+/// Deepest array/object nesting Parse accepts. The parser recurses once
+/// per level, so without a cap a file of nested brackets overflows the
+/// stack; every document the tools write nests fewer than ten levels.
+inline constexpr std::size_t kMaxDepth = 256;
+
 /// Parses `text` into `*out`. Returns "" on success, else a one-line error
-/// with a byte offset.
+/// with a byte offset (also for nesting deeper than kMaxDepth).
 std::string Parse(const std::string& text, Value* out);
 
 }  // namespace craft::json

@@ -237,10 +237,10 @@ TEST(BufferChannel, EnqueueToVisibleLatencyIsOneCycle) {
   EXPECT_LE(pop_cycle - push_cycle, 1u);
 }
 
-// A Pop blocked on an empty Buffer is retried by the scheduler at every
-// edge without resuming the consumer's fiber: it resumes once, when the
-// token is there. Dispatches and stall cycles stay those of a per-edge
-// retry loop on the fiber.
+// A Pop blocked on an empty Buffer is retried by the clock edge without
+// dispatching the consumer, stats on or off: it is dispatched and resumed
+// once more, when the token is there. The stall cycles stay those of a
+// per-edge retry loop on the fiber.
 TEST(BufferChannel, BlockedPopResumesFiberOnce) {
   Simulator sim;
   sim.stats().Enable();
@@ -262,8 +262,50 @@ TEST(BufferChannel, BlockedPopResumesFiberOnce) {
   EXPECT_EQ(b.got, 7);
   EXPECT_TRUE(b.cons->done());
   EXPECT_EQ(b.cons->fiber_resumes(), 2u);  // the start, and the end of the wait
-  EXPECT_EQ(b.cons->stat_dispatches, 12u);
+  EXPECT_EQ(b.cons->stat_dispatches, 2u);
   EXPECT_EQ(sim.stats().channels().at("top.ch").empty_stall_cycles, 11u);
+}
+
+// A probed pop tried at the edge reports what a try in the thread's
+// dispatch slot reported: blocked on a Buffer for many edges under a chaos
+// valid-stall plan, it counts the same stall cycles, rolls the same
+// per-cycle stalls and receives each token in the same cycle as when every
+// try was a dispatch.
+TEST(BufferChannel, ProbedPopTriedAtTheEdgeReportsLikeADispatch) {
+  Simulator sim;
+  sim.stats().Enable();
+  FaultPlan plan;
+  plan.seed = 9;
+  plan.channel_valid_stall_prob = 0.4;
+  sim.chaos().Enable(plan);
+  Clock clk(sim, "clk", 1_ns);
+  Module top(sim, "top");
+  Buffer<int> ch(top, "ch", clk, 2);
+  struct B : Module {
+    ThreadProcess* cons = nullptr;
+    std::vector<std::uint64_t> got_at;
+    B(Module& p, Clock& clk, Buffer<int>& ch) : Module(p, "b") {
+      cons = &Thread("cons", clk, [this, &ch] {
+        for (int i = 0; i < 4; ++i) {
+          EXPECT_EQ(ch.Pop(), i);
+          got_at.push_back(this_cycle());
+        }
+      });
+      Thread("prod", clk, [&ch] {
+        for (int i = 0; i < 4; ++i) {
+          wait(12);
+          ch.Push(i);
+        }
+      });
+    }
+  } b(top, clk, ch);
+  sim.Run(100_ns);
+  // The values a dispatch for every try gave.
+  EXPECT_EQ(b.got_at, (std::vector<std::uint64_t>{13, 27, 37, 49}));
+  EXPECT_EQ(sim.stats().channels().at("top.ch").empty_stall_cycles, 47u);
+  EXPECT_EQ(sim.chaos().channel_points().at("top.ch").stall_events(), 22u);
+  // Every dispatch resumed the fiber: the failed tries ran at the edge.
+  EXPECT_EQ(b.cons->stat_dispatches, b.cons->fiber_resumes());
 }
 
 TEST(CombinationalChannel, SameCycleRendezvousInSimAccurateMode) {

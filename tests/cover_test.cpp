@@ -12,6 +12,7 @@
 #include "cover/cover.hpp"
 #include "cover/runner.hpp"
 #include "kernel/kernel.hpp"
+#include "support/json.hpp"
 
 namespace craft::cover {
 namespace {
@@ -128,6 +129,54 @@ TEST(CoverDb, ParseRejectsMalformedDocuments) {
             "\"bins\": {}}}}",
             &db),
       "");
+}
+
+// Damaged files must not crash the tools: byte flips, truncations and
+// splices (one of them a run of open brackets) of a real cover document
+// either parse or report an error, through json::Parse and the database
+// load alike. A document that still loads formats and loads again.
+TEST(CoverDb, MutatedDocumentsLoadOrReportAnError) {
+  RunOptions opt;
+  opt.messages = 16;
+  Database db;
+  ASSERT_EQ(RunDesign("li_pipeline", opt, &db), "");
+  const std::string doc = FormatJson(db);
+  Rng rng(2024);
+  int loaded = 0;
+  for (int i = 0; i < 300; ++i) {
+    std::string m = doc;
+    const std::size_t at = rng.NextBelow(m.size());
+    switch (i % 4) {
+      case 0:  // flip bits of a few bytes
+        for (int k = 0; k < 4; ++k)
+          m[rng.NextBelow(m.size())] ^= static_cast<char>(1u << rng.NextBelow(8));
+        break;
+      case 1:  // truncate
+        m.resize(at);
+        break;
+      case 2: {  // splice a slice of the document into another place
+        const std::size_t from = rng.NextBelow(doc.size());
+        m.insert(at, doc, from, rng.NextBelow(doc.size() - from) + 1);
+        break;
+      }
+      default: {  // splice in deep nesting
+        std::string deep;
+        for (std::uint64_t n = rng.NextInRange(1, 4 * json::kMaxDepth); n > 0; --n)
+          deep += i % 8 == 3 ? "[" : "{\"a\":";
+        m.insert(at, deep);
+        break;
+      }
+    }
+    json::Value v;
+    (void)json::Parse(m, &v);
+    Database back;
+    if (Parse(m, &back).empty()) {
+      ++loaded;
+      Database again;
+      EXPECT_EQ(Parse(FormatJson(back), &again), "") << "mutation " << i;
+    }
+  }
+  EXPECT_LT(loaded, 300);
 }
 
 TEST(CoverDb, DiffGatesOnLostBinsAndGroups) {

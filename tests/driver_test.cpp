@@ -1,7 +1,8 @@
 // `craft` driver tests: verb dispatch and its usage contract (no verb or an
 // unknown verb exits 2 and lists the verbs; --help and --version exit 0 at
 // the top level and for every verb), and the I/O half of the exit-code
-// convention: a verb whose output document cannot be written exits 2.
+// convention: a verb whose output document cannot be written, or whose
+// input cannot be parsed, exits 2.
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -140,6 +141,16 @@ TEST(Driver, UnwritableOutputExits2) {
   };
   for (const std::string& args : cases)
     EXPECT_EQ(RunCommand(std::string(CRAFT_BIN) + args + " 2>/dev/null"), 2) << args;
+}
+
+// A file nested past the JSON parser's depth cap is a malformed input,
+// exit 2, not a stack overflow.
+TEST(Driver, DeeplyNestedInputExits2) {
+  const std::string path = ::testing::TempDir() + "driver_deep.json";
+  std::ofstream(path) << std::string(2'000'000, '[');
+  std::string out, err;
+  EXPECT_EQ(Craft(" cover report " + path, &out, &err), 2);
+  EXPECT_NE(err.find("nesting deeper than"), std::string::npos) << err;
 }
 
 }  // namespace

@@ -9,7 +9,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "kernel/kernel.hpp"
@@ -477,6 +479,79 @@ TEST(WaitUntilAtEdge, RetriedThreadKeepsItsPlaceInTheWakeOrder) {
   }
   // The wakeup-delay plan does reorder wakes, so the check above has teeth.
   EXPECT_NE(RunWakeOrder(true, 0.0).log, RunWakeOrder(true, 0.3).log);
+}
+
+// Under a chaos plan that defers wakeups, a clock still wakes its waiters
+// in the order they parked. Four threads poll every edge; each parks in the
+// dispatch that logs it, so in every cycle they must log in the order of
+// their previous log entries, even right after a thread was deferred on two
+// consecutive edges and the others parked again meanwhile. A fifth thread
+// blocks on a condition that the edge tries in place (or, for comparison,
+// that every edge dispatches it to try); it must keep its place as well.
+std::vector<std::pair<std::uint64_t, int>> RunDeferredWakes(bool at_edge) {
+  Simulator sim;
+  FaultPlan plan;
+  plan.seed = 3;
+  plan.wakeup_delay_prob = 0.4;
+  sim.chaos().Enable(plan);
+  Clock clk(sim, "clk", 1_ns);
+  Module top(sim, "top");
+  struct B : Module {
+    std::vector<std::pair<std::uint64_t, int>> log;
+    B(Module& p, Clock& clk, bool at_edge) : Module(p, "b") {
+      for (int id = 0; id < 4; ++id) {
+        Thread("poll" + std::to_string(id), clk, [this, id] {
+          for (;;) {
+            wait();
+            log.emplace_back(this_cycle(), id);
+          }
+        });
+      }
+      Thread("edge_tried", clk, [this, &clk, at_edge] {
+        for (;;) {
+          const auto due = [&clk] { return clk.cycle() % 3 == 0; };
+          at_edge ? wait_until_at_edge(due) : wait_until(due);
+          log.emplace_back(this_cycle(), 4);
+          wait();
+        }
+      });
+    }
+  } b(top, clk, at_edge);
+  sim.Run(400_ns);
+  return b.log;
+}
+
+TEST(WaitUntilAtEdge, DeferredThreadsWakeInParkOrder) {
+  const auto log = RunDeferredWakes(true);
+  EXPECT_EQ(RunDeferredWakes(false), log);
+  EXPECT_GT(log.size(), 1000u);
+  // Where each polling thread last parked (the index of its last log
+  // entry, or its creation order before the first) and in which cycle.
+  std::array<std::int64_t, 4> parked_at{-4, -3, -2, -1};
+  std::array<std::uint64_t, 4> parked_cycle{};
+  std::uint64_t prev_cycle = 0;
+  std::int64_t prev_parked_at = 0;
+  int woke_ahead = 0;  // twice-deferred threads woken ahead of a later parker
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    const auto [cycle, id] = log[i];
+    if (id == 4) continue;
+    if (cycle == prev_cycle) {
+      EXPECT_LT(prev_parked_at, parked_at[id]) << "cycle " << cycle;
+    }
+    if (cycle - parked_cycle[id] > 2) {  // deferred on two consecutive edges
+      for (std::size_t j = i + 1; j < log.size() && log[j].first == cycle; ++j) {
+        if (log[j].second != 4 && parked_cycle[log[j].second] > parked_cycle[id]) {
+          ++woke_ahead;
+          break;
+        }
+      }
+    }
+    prev_cycle = cycle;
+    prev_parked_at = parked_at[id];
+    parked_at[id] = static_cast<std::int64_t>(i);
+    parked_cycle[id] = cycle;
+  }
+  EXPECT_GT(woke_ahead, 0);
 }
 
 // A condition that throws when the edge tries it surfaces as a body throw:

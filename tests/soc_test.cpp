@@ -5,6 +5,8 @@
 
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "soc/workloads.hpp"
 
@@ -161,10 +163,24 @@ struct SocOutcome {
   bool operator==(const SocOutcome&) const = default;
 };
 
-SocOutcome RunOutcome(const Workload& w, bool stats, unsigned parallelism,
-                      double* dispatches_per_cycle = nullptr) {
+// The scheduler work of one run: every process's dispatches, in creation
+// order, and the total.
+struct SocDispatches {
+  std::uint64_t total = 0;
+  std::vector<std::pair<std::string, std::uint64_t>> per_process;
+  bool operator==(const SocDispatches&) const = default;
+};
+
+// Runs `w` on the 2x2 GALS mesh; `probes` turns stats, trace and cover on,
+// which gives every channel and crossing a probe.
+SocOutcome RunOutcome(const Workload& w, bool probes, unsigned parallelism,
+                      SocDispatches* dispatches = nullptr) {
   Simulator sim;
-  if (stats) sim.stats().Enable();
+  if (probes) {
+    sim.stats().Enable();
+    sim.trace_events().Enable();
+    sim.cover().Enable();
+  }
   SocConfig cfg;  // the 2x2 GALS mesh
   cfg.parallelism = parallelism;
   SocTop soc(sim, cfg);
@@ -180,23 +196,32 @@ SocOutcome RunOutcome(const Workload& w, bool stats, unsigned parallelism,
   for (const auto& [name, ch] : sim.design_graph().channels()) o.transfers[name] = *ch.transfers;
   for (const auto& x : sim.design_graph().crossings())
     o.transfers[x.path + "#crossing"] = *x.transfers;
-  if (dispatches_per_cycle != nullptr)
-    *dispatches_per_cycle = static_cast<double>(sim.dispatch_count()) / static_cast<double>(r.cycles);
+  if (dispatches != nullptr) {
+    dispatches->total = sim.dispatch_count();
+    for (const auto& p : sim.processes())
+      dispatches->per_process.emplace_back(p->name(), p->stat_dispatches);
+  }
   return o;
 }
 
-// Uninstrumented, blocked pops and crossing slot waits are retried at the
-// clock edge; with stats on every site has a probe and each retry is a
-// dispatch. Both, at one worker and at four, must give the same run.
+// Blocked pops and crossing slot waits are retried at the clock edge
+// whether or not a probe covers them. With stats, trace and cover on, at
+// one worker and at four, a run must give the same results and make the
+// same dispatches, process by process, as the uninstrumented one.
 TEST(SocRetryEquivalence, SevenWorkloadsMatchWithAndWithoutProbesAtN1AndN4) {
   for (const Workload& w : AllWorkloads()) {
-    double dispatches_per_cycle = 0.0;
-    const SocOutcome base = RunOutcome(w, false, 1, &dispatches_per_cycle);
+    SocDispatches base_n1, base_n4, probed_n1, probed_n4;
+    const SocOutcome base = RunOutcome(w, false, 1, &base_n1);
     EXPECT_GT(base.transfers.size(), 50u);
-    EXPECT_LE(dispatches_per_cycle, 15.0) << w.name;
-    EXPECT_EQ(RunOutcome(w, false, 4), base) << w.name << " uninstrumented n=4";
-    EXPECT_EQ(RunOutcome(w, true, 1), base) << w.name << " stats n=1";
-    EXPECT_EQ(RunOutcome(w, true, 4), base) << w.name << " stats n=4";
+    EXPECT_LE(static_cast<double>(base_n1.total) / static_cast<double>(base.cycles), 15.0)
+        << w.name;
+    EXPECT_EQ(RunOutcome(w, false, 4, &base_n4), base) << w.name << " uninstrumented n=4";
+    EXPECT_EQ(RunOutcome(w, true, 1, &probed_n1), base) << w.name << " probed n=1";
+    EXPECT_EQ(RunOutcome(w, true, 4, &probed_n4), base) << w.name << " probed n=4";
+    EXPECT_EQ(probed_n1.total, base_n1.total) << w.name << " n=1";
+    EXPECT_EQ(probed_n4.total, base_n4.total) << w.name << " n=4";
+    EXPECT_EQ(probed_n1.per_process, base_n1.per_process) << w.name << " n=1";
+    EXPECT_EQ(probed_n4.per_process, base_n4.per_process) << w.name << " n=4";
   }
 }
 

@@ -128,6 +128,20 @@ TEST(JsonParse, RejectsMalformedDocuments) {
   EXPECT_NE(json::Parse("", &v), "");
 }
 
+// The parser recurses once per nesting level; past kMaxDepth it reports an
+// error instead of overflowing the stack.
+TEST(JsonParse, RejectsNestingPastTheCap) {
+  json::Value v;
+  const std::string at_cap = std::string(json::kMaxDepth, '[') + std::string(json::kMaxDepth, ']');
+  EXPECT_EQ(json::Parse(at_cap, &v), "");
+  const std::string past_cap = "[" + at_cap + "]";
+  EXPECT_NE(json::Parse(past_cap, &v).find("nesting deeper than"), std::string::npos);
+  EXPECT_NE(json::Parse(std::string(2'000'000, '['), &v), "");
+  std::string objects;
+  for (int i = 0; i < 200'000; ++i) objects += "{\"a\":";
+  EXPECT_NE(json::Parse(objects, &v), "");
+}
+
 // ---------------------------------------------------------------------------
 // cli::Parser
 
